@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 computation error (JSON diagnostic on stderr),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import sys
@@ -47,47 +49,46 @@ def _gas_spec(args) -> ensemble.GasSpec:
                             delta=args.delta, eps0_units=args.eps0_units)
 
 
-def _binning_rows(spec, states):
-    rows = []
-    json_rows = []
-    for s in states:
-        mv = ensemble.multiplicity(s)
-        omega = mv.exact if mv.exact is not None else None
-        rows.append([json.dumps(list(s.n)),
-                     str(omega) if omega is not None else _fmt(mv.log_omega),
-                     _fmt(ensemble.entropy(s)), None, mv])
-        json_rows.append({"binning": list(s.n), "omega": omega,
-                          "log_omega": mv.log_omega,
-                          "entropy": ensemble.entropy(s)})
-    total = sum(ensemble.multiplicity(s).exact or 0 for s in states)
-    for row, jrow, s in zip(rows, json_rows, states):
-        mv = row.pop()
-        mu = (mv.exact / total) if (mv.exact is not None and total) else None
-        row[3] = _fmt(mu) if mu is not None else ""
-        jrow["mu"] = mu
-    return rows, json_rows
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Exact Omega at large N has more digits than Python's default int-to-str limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _emit_binnings(args, states) -> int:
+    """One row per state: omega, entropy (k = 1) and mu = omega over the
+    sum of omega across the listed states, from one multiplicity each."""
+    mults = [ensemble.multiplicity(s) for s in states]
+    total = sum(mv.exact for mv in mults)
+    with _unlimited_int_digits():
+        if args.format == "json":
+            _emit(args, _json_text([
+                {"binning": list(s.n), "omega": mv.exact, "log_omega": mv.log_omega,
+                 "entropy": mv.log_omega, "mu": mv.exact / total}
+                for s, mv in zip(states, mults)]))
+        else:
+            _emit(args, _csv_table(["binning", "omega", "entropy", "mu"], [
+                [json.dumps(list(s.n)), str(mv.exact), _fmt(mv.log_omega), _fmt(mv.exact / total)]
+                for s, mv in zip(states, mults)]))
+    return 0
 
 
 def cmd_gas_enumerate(args) -> int:
-    spec = _gas_spec(args)
-    states = ensemble.enumerate_binnings(spec, max_states=args.max_states)
-    rows, json_rows = _binning_rows(spec, states)
-    if args.format == "json":
-        _emit(args, _json_text(json_rows))
-    else:
-        _emit(args, _csv_table(["binning", "omega", "entropy", "mu"], rows))
-    return 0
+    states = ensemble.enumerate_binnings(_gas_spec(args), max_states=args.max_states)
+    return _emit_binnings(args, states)
 
 
 def cmd_gas_argmax(args) -> int:
-    spec = _gas_spec(args)
-    states = ensemble.most_probable_binnings(spec, max_states=args.max_states)
-    rows, json_rows = _binning_rows(spec, states)
-    if args.format == "json":
-        _emit(args, _json_text(json_rows))
-    else:
-        _emit(args, _csv_table(["binning", "omega", "entropy", "mu"], rows))
-    return 0
+    states = ensemble.most_probable_binnings(_gas_spec(args), max_states=args.max_states)
+    return _emit_binnings(args, states)
 
 
 def cmd_gas_fit(args) -> int:
@@ -337,15 +338,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first run(), not at import, so the handlers it binds are
+    # whatever cmd_* attributes the module holds at that point.
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except MicrocanonError as exc:
-        sys.stderr.write(_json_text({"error": type(exc).__name__, "message": str(exc)}))
-        return 1
-    except (KeyError, ValueError, OSError) as exc:
+    except (MicrocanonError, KeyError, ValueError, OSError) as exc:
         sys.stderr.write(_json_text({"error": type(exc).__name__, "message": str(exc)}))
         return 1
 

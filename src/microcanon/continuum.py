@@ -45,7 +45,11 @@ class ContinuumGas:
 
 @dataclass(frozen=True)
 class DensityCurve:
-    """Sampled rho(eps), strictly decreasing over strictly increasing eps."""
+    """Sampled rho(eps) over strictly increasing eps.
+
+    rho is strictly decreasing until it underflows: past about eps0 + 745*T
+    the density is 0.0 in floating point, so a tail of exact zeros is allowed.
+    """
 
     points: tuple[tuple[float, float], ...]
 
@@ -56,7 +60,7 @@ class DensityCurve:
             raise ValueError("eps values must be strictly increasing")
         if any(r < 0 for r in rho_vals):
             raise ValueError("rho must be non-negative")
-        if any(b >= a for a, b in zip(rho_vals, rho_vals[1:])):
+        if any(b >= a and b > 0 for a, b in zip(rho_vals, rho_vals[1:])):
             raise ValueError("rho must be strictly decreasing")
 
     def to_csv(self) -> str:

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DegenerateEnergy, InfeasibleEnergy, NoConvergence, SizeLimit
 
 DEFAULT_STATE_CAP = 1_000_000
-EXACT_OMEGA_THRESHOLD = 300
 
 # Stirling variants for ln m! used in the variational solve.
 STIRLING_MLNM = "m_ln_m"
@@ -98,7 +97,7 @@ class BinningState:
 @dataclass(frozen=True)
 class MultiplicityValue:
     log_omega: float
-    exact: int | None = None
+    exact: int
 
 
 @dataclass(frozen=True)
@@ -118,42 +117,43 @@ def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> li
     SizeLimit if more than `max_states` vectors would be produced.
     """
     spec.require_feasible()
-    m = spec.m
+    top = spec.m - 1
+    if top == 0:
+        return [BinningState(spec, (spec.n,))]
+
+    def occupancies(i: int, rem_n: int, rem_e: int) -> range:
+        # n_i that leave bins i+1..top able to carry the rest:
+        # (i+1) * rest_n <= rest_e <= top * rest_n, so every branch yields states
+        return range(max(0, (i + 1) * rem_n - rem_e),
+                     min(rem_n, (top * rem_n - rem_e) // (top - i)) + 1)
+
     out: list[tuple[int, ...]] = []
-
-    # Depth-first over n_0, n_1, ... with ascending occupancies, pruning on
-    # the reachable excess-energy range of the remaining bins.
-    def rec(i: int, rem_n: int, rem_e: int, prefix: list[int]):
-        if i == m - 1:
-            # last bin takes everything; energy index is m-1
-            if rem_e == (m - 1) * rem_n:
-                if len(out) >= max_states:
-                    raise SizeLimit(f"more than {max_states} binning states")
-                out.append(tuple(prefix) + (rem_n,))
-            return
-        for ni in range(rem_n + 1):
-            re = rem_e - i * ni
-            rn = rem_n - ni
-            if re < 0:
-                break
-            if re < (i + 1) * rn or re > (m - 1) * rn:
-                continue
-            prefix.append(ni)
-            rec(i + 1, rn, re, prefix)
-            prefix.pop()
-
-    rec(0, spec.n, spec.excess_units, [])
+    # Depth-first over n_0 .. n_{top-2} with an explicit stack, since m can
+    # exceed the recursion limit; children are pushed in reverse so that
+    # ascending occupancies come off first and the output is lexicographic.
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), spec.n, spec.excess_units)]
+    while stack:
+        prefix, rem_n, rem_e = stack.pop()
+        i = len(prefix)
+        choices = occupancies(i, rem_n, rem_e)
+        if i + 1 < top:
+            stack.extend((prefix + (ni,), rem_n - ni, rem_e - i * ni) for ni in reversed(choices))
+            continue
+        # bin top-1 takes each admissible occupancy and the last bin the rest
+        if len(out) + len(choices) > max_states:
+            raise SizeLimit(f"more than {max_states} binning states")
+        out.extend(prefix + (ni, rem_n - ni) for ni in choices)
     return [BinningState(spec, n) for n in out]
 
 
-def multiplicity(b: BinningState, exact_threshold: int = EXACT_OMEGA_THRESHOLD) -> MultiplicityValue:
-    """Omega = N! / prod(n_i!), exact below the threshold, log-gamma always."""
+def multiplicity(b: BinningState) -> MultiplicityValue:
+    """Omega = N! / prod(n_i!) exactly, as a product of binomials C(rest, n_i),
+    with its log-gamma logarithm."""
     log_omega = math.lgamma(b.spec.n + 1) - sum(math.lgamma(x + 1) for x in b.n)
-    exact = None
-    if b.spec.n <= exact_threshold:
-        exact = math.factorial(b.spec.n)
-        for x in b.n:
-            exact //= math.factorial(x)
+    exact, rest = 1, b.spec.n
+    for x in b.n[:-1]:
+        exact *= math.comb(rest, x)
+        rest -= x
     return MultiplicityValue(log_omega=log_omega, exact=exact)
 
 
@@ -165,14 +165,11 @@ def entropy(b: BinningState, k: float = 1.0) -> float:
 
 
 def most_probable_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[BinningState]:
-    """All argmax-Omega binning states (ties are real), lexicographic order."""
+    """All argmax-Omega binning states (exact integer ties), lexicographic order."""
     states = enumerate_binnings(spec, max_states=max_states)
-    mults = [multiplicity(s) for s in states]
-    if all(mv.exact is not None for mv in mults):
-        best = max(mv.exact for mv in mults)
-        return [s for s, mv in zip(states, mults) if mv.exact == best]
-    best_log = max(mv.log_omega for mv in mults)
-    return [s for s, mv in zip(states, mults) if mv.log_omega >= best_log - 1e-12]
+    omegas = [multiplicity(s).exact for s in states]
+    best = max(omegas)
+    return [s for s, omega in zip(states, omegas) if omega == best]
 
 
 def _mean_index(b: float, m: int) -> float:

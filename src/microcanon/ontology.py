@@ -225,6 +225,11 @@ class InformationClass:
 
 def information_class(model: OntModel) -> InformationClass:
     """Non-minimal (psi-ontic) iff every ontic state serves at most one preparation."""
+    for p in model.preparations:
+        if len(p.mu) != model.lam.size:
+            raise DimensionMismatch(
+                f"preparation {p.name} has {len(p.mu)} mu entries over {model.lam.size} states"
+            )
     per_lambda: dict[str, tuple[str, ...]] = {}
     shared = False
     for i, label in enumerate(model.lam.labels):
@@ -240,20 +245,26 @@ def information_class(model: OntModel) -> InformationClass:
 
 @dataclass(frozen=True)
 class GasOntModel:
-    """Gas-as-ontological-model bridge with exact rational bookkeeping."""
+    """Gas-as-ontological-model bridge with exact integer bookkeeping."""
 
     model: OntModel
     spec: ensemble.GasSpec
     binnings: tuple[tuple[int, ...], ...]
-    mu_exact: tuple[Fraction, ...]          # per binning state
-    xi_exact: tuple[tuple[Fraction, ...], ...]  # rows = outcomes (bins), cols = binnings
+    omegas: tuple[int, ...]                 # multiplicity per binning state
     outcome_energies: tuple[float, ...]
 
+    @property
+    def mu_exact(self) -> tuple[Fraction, ...]:
+        """mu[lam] = Omega(lam) / sum Omega, exact."""
+        total = sum(self.omegas)
+        return tuple(Fraction(o, total) for o in self.omegas)
+
     def outcome_probabilities_exact(self) -> tuple[Fraction, ...]:
-        """P(eps_i) = sum_lam xi[i, lam] mu[lam], exact."""
+        """P(eps_i) = sum_lam xi[i, lam] mu[lam] = sum_lam Omega n_i / (N sum Omega), exact."""
+        denom = self.spec.n * sum(self.omegas)
         return tuple(
-            sum((x * m for x, m in zip(row, self.mu_exact)), Fraction(0))
-            for row in self.xi_exact
+            Fraction(sum(o * n for o, n in zip(self.omegas, occupancy)), denom)
+            for occupancy in zip(*self.binnings)
         )
 
 
@@ -267,30 +278,27 @@ def gas_model(spec: ensemble.GasSpec, t_label: str = "T",
     exchangeability.  No Born targets: this model defines the outcome law.
     """
     states = ensemble.enumerate_binnings(spec, max_states=max_states)
-    omegas = [ensemble.multiplicity(s, exact_threshold=max(spec.n, 1)).exact for s in states]
+    omegas = tuple(ensemble.multiplicity(s).exact for s in states)
     total = sum(omegas)
-    mu_exact = tuple(Fraction(o, total) for o in omegas)
-    xi_exact = tuple(
-        tuple(Fraction(s.n[i], spec.n) for s in states) for i in range(spec.m)
-    )
     labels = tuple(json.dumps(list(s.n)) for s in states)
     energies = tuple(spec.energy(i) for i in range(spec.m))
     outcome_names = tuple(f"eps={e:g}" for e in energies)
     space = LambdaSpace(labels=labels)
+    # int / int rounds once, so these equal the floats of the exact fractions
     model = OntModel(
         lam=space,
-        preparations=(EpistemicState(name=t_label, mu=tuple(float(x) for x in mu_exact)),),
+        preparations=(EpistemicState(name=t_label, mu=tuple(o / total for o in omegas)),),
         measurements=(ResponseFunction(
             name="tagged-particle-energy",
             outcomes=outcome_names,
-            xi=tuple(tuple(float(x) for x in row) for row in xi_exact),
+            xi=tuple(tuple(s.n[i] / spec.n for s in states) for i in range(spec.m)),
         ),),
         born_targets=None,
     )
     return GasOntModel(
         model=model, spec=spec,
         binnings=tuple(s.n for s in states),
-        mu_exact=mu_exact, xi_exact=xi_exact,
+        omegas=omegas,
         outcome_energies=energies,
     )
 
@@ -298,16 +306,13 @@ def gas_model(spec: ensemble.GasSpec, t_label: str = "T",
 def peak_approximation_delta(gm: GasOntModel) -> float:
     """Max outcome error of replacing the mu-average by the mu-peak state.
 
-    The peak state is the argmax of mu, first in lexicographic order on
+    The peak state is the argmax of Omega, first in lexicographic order on
     ties (the binnings are already enumerated lexicographically).
     """
-    p_exact = gm.outcome_probabilities_exact()
-    # first maximizer = lexicographic tie-break (binnings are sorted)
-    peak = max(gm.mu_exact)
-    best = next(j for j, m in enumerate(gm.mu_exact) if m == peak)
+    peak = gm.binnings[gm.omegas.index(max(gm.omegas))]
     return max(
-        abs(float(p_exact[i] - gm.xi_exact[i][best]))
-        for i in range(len(p_exact))
+        abs(float(p - Fraction(n, gm.spec.n)))
+        for p, n in zip(gm.outcome_probabilities_exact(), peak)
     )
 
 

@@ -1,14 +1,33 @@
 """Command-line interface: formats, exit codes, determinism."""
 
+import contextlib
+import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from microcanon import cli
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MARBLES = str(FIXTURES / "marbles.json")
+# stdout, stderr and exit code of gas enumerate/argmax/measure calls, recorded
+# from the release before Omega became exact at every N
+GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "gas_cli_golden.json")
+                    .read_text(encoding="utf-8"))
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -93,6 +112,40 @@ class TestGasCommands:
         probs = [row["p"] for row in doc]
         assert probs == pytest.approx([0.5, 1 / 3, 1 / 6], abs=1e-12)
 
+    def test_many_bins_do_not_recurse(self):
+        proc = run_cli("gas", "enumerate", "--n", "1", "--m", "1500", "--e", "3")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith('"[0, 0, 0, 1, 0, ')
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_omega_beyond_default_int_digits(self, fmt):
+        # C(15000, 7500) has 4,514 digits, past Python's default 4,300
+        proc = run_cli("gas", "enumerate", "--n", "15000", "--m", "2", "--e", "7500",
+                       "--format", fmt)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        with unlimited_int_digits():
+            omega = math.comb(15000, 7500)
+            if fmt == "json":
+                (row,) = json.loads(proc.stdout)
+                assert row["omega"] == omega
+                assert row["mu"] == 1.0
+            else:
+                header, row = proc.stdout.splitlines()
+                binning, omega_text, _, mu_text = next(csv.reader([row]))
+                assert (binning, omega_text, mu_text) == ("[7500, 7500]", str(omega), "1")
+
+    def test_argv_keeps_the_default_int_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["gas", "enumerate", "--n", "1" * (limit + 1), "--m", "2", "--e", "1"])
+        assert exc.value.code == 2
+        assert cli.run(["gas", "enumerate", "--n", "3", "--m", "3", "--e", "2"]) == 0
+        assert sys.get_int_max_str_digits() == limit
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "states.csv"
         proc = run_cli("gas", "enumerate", "--n", "3", "--m", "3", "--e", "2",
@@ -127,6 +180,15 @@ class TestOntologyCommands:
         proc = run_cli("ontology", "classify", MARBLES, "--format", "json")
         doc = json.loads(proc.stdout)
         assert "minimal" in doc["verdict"]
+
+    def test_classify_short_mu_is_error(self, tmp_path):
+        doc = json.loads(Path(MARBLES).read_text(encoding="utf-8"))
+        doc["preparations"][0]["mu"] = doc["preparations"][0]["mu"][:-1]
+        model_path = tmp_path / "short.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli("ontology", "classify", str(model_path))
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "DimensionMismatch"
 
     def test_unknown_preparation_is_error(self):
         proc = run_cli("ontology", "overlap", MARBLES, "--pair", "A", "Z")
@@ -173,3 +235,25 @@ class TestPbrCommands:
         proc = run_cli("pbr", "cat", "--a", "1", "--b", "1")
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "NormalizationError"
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_gas_output_is_golden(argv, capsys):
+    want = GOLDEN[argv]
+    assert cli.run(argv.split()) == want["code"]
+    out, err = capsys.readouterr()
+    assert out == want["stdout"]
+    assert err == want["stderr"]
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.run(["gas", "enumerate", "--n", "3", "--m", "3", "--e", "2"]) == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()

@@ -47,6 +47,24 @@ class TestDensity:
         assert len(lines) == 51
         assert csv_text.endswith("\n")
 
+    @pytest.mark.parametrize("eps0", [5.0, 0.0])
+    def test_curve_at_the_root_ends_in_underflow_zeros(self, eps0):
+        # rho underflows to 0.0 past about eps0 + 745*T, far below the root
+        gas = continuum.ContinuumGas(n=1000, t=1.0, eps0=eps0)
+        e1 = continuum.solve_total_energy(gas)
+        rho_vals = [r for _, r in continuum.density_curve(gas, e1).points]
+        assert len(rho_vals) == 100
+        positive = [r for r in rho_vals if r > 0]
+        assert 1 < len(positive) < len(rho_vals)
+        assert rho_vals[len(positive):] == [0.0] * (len(rho_vals) - len(positive))
+        assert all(b < a for a, b in zip(positive, positive[1:]))
+
+    def test_curve_rejects_a_rise_after_zero(self):
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            continuum.DensityCurve(points=((0.0, 1.0), (1.0, 0.0), (2.0, 0.5)))
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            continuum.DensityCurve(points=((0.0, 1.0), (1.0, 1.0)))
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             continuum.ContinuumGas(n=0.0, t=1.0)

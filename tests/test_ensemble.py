@@ -81,13 +81,8 @@ class TestMultiplicity:
         spec = ensemble.GasSpec(n=8, m=4, e_units=10)
         for s in ensemble.enumerate_binnings(spec):
             mv = ensemble.multiplicity(s)
-            assert mv.exact is not None
+            assert isinstance(mv.exact, int)
             assert math.log(mv.exact) == pytest.approx(mv.log_omega, rel=1e-12)
-
-    def test_threshold_disables_exact(self):
-        spec = ensemble.GasSpec(n=8, m=4, e_units=10)
-        s = ensemble.enumerate_binnings(spec)[0]
-        assert ensemble.multiplicity(s, exact_threshold=4).exact is None
 
     def test_entropy_is_log_omega(self):
         spec = ensemble.GasSpec(n=3, m=3, e_units=2)
@@ -147,6 +142,28 @@ class TestArgmax:
         assert all(ensemble.multiplicity(s).exact == top for s in best)
         assert all(ensemble.multiplicity(s).exact < top
                    for s in states if s not in best)
+
+    @pytest.mark.parametrize("n,m,e", [(301, 3, 200), (350, 3, 351), (400, 3, 120),
+                                       (320, 4, 300), (360, 4, 500)])
+    def test_large_n_argmax_is_exact(self, n, m, e):
+        # argmax of Omega from math.comb products over the test's own
+        # enumeration of (n_2, ..., n_{m-1}); n_1 and n_0 follow
+        omegas = {}
+        for upper in itertools.product(*(range(e // i + 1) for i in range(2, m))):
+            n1 = e - sum(i * x for i, x in enumerate(upper, start=2))
+            n0 = n - n1 - sum(upper)
+            if n1 < 0 or n0 < 0:
+                continue
+            occ = (n0, n1, *upper)
+            omega, rest = 1, n
+            for x in occ:
+                omega *= math.comb(rest, x)
+                rest -= x
+            omegas[occ] = omega
+        top = max(omegas.values())
+        expected = sorted(occ for occ, omega in omegas.items() if omega == top)
+        spec = ensemble.GasSpec(n=n, m=m, e_units=e)
+        assert [s.n for s in ensemble.most_probable_binnings(spec)] == expected
 
 
 class TestBoltzmannFit:

@@ -150,6 +150,13 @@ class TestInformationClass:
         assert info.per_lambda["G"] == ("C",)
         assert info.per_lambda["B"] == ("D",)
 
+    def test_short_mu_is_dimension_mismatch(self, marbles):
+        short = ontology.EpistemicState(name="x", mu=(1.0,))
+        model = ontology.OntModel(lam=marbles.lam, preparations=(short,),
+                                  measurements=marbles.measurements)
+        with pytest.raises(DimensionMismatch):
+            ontology.information_class(model)
+
 
 class TestGasBridge:
     def test_small_gas_exact_probabilities(self):
@@ -158,6 +165,23 @@ class TestGasBridge:
         assert probs == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
         assert gm.binnings == ((1, 2, 0), (2, 0, 1))
         assert gm.mu_exact == (Fraction(1, 2), Fraction(1, 2))
+
+    @pytest.mark.parametrize("n,m,e", [(3, 3, 2), (5, 4, 7), (9, 4, 12), (12, 5, 20)])
+    def test_integer_law_matches_rational_reference(self, n, m, e):
+        # reference: sum over binnings of xi * mu, each a Fraction
+        spec = ensemble.GasSpec(n=n, m=m, e_units=e)
+        gm = ontology.gas_model(spec)
+        states = ensemble.enumerate_binnings(spec)
+        omegas = [ensemble.multiplicity(s).exact for s in states]
+        mu = [Fraction(o, sum(omegas)) for o in omegas]
+        law = tuple(sum((Fraction(s.n[i], n) * w for s, w in zip(states, mu)), Fraction(0))
+                    for i in range(m))
+        assert gm.outcome_probabilities_exact() == law
+        assert gm.mu_exact == tuple(mu)
+        assert gm.model.preparations[0].mu == tuple(float(w) for w in mu)
+        best = max(range(len(mu)), key=lambda j: (mu[j], -j))
+        delta = max(abs(float(law[i] - Fraction(states[best].n[i], n))) for i in range(m))
+        assert ontology.peak_approximation_delta(gm) == delta
 
     def test_model_floats_match_exact(self):
         gm = ontology.gas_model(ensemble.GasSpec(n=5, m=4, e_units=7))
