@@ -21,6 +21,7 @@ particle, xi[eps_i, lam] = n_i / N.  All of that is exact in rationals.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -111,6 +112,11 @@ def validate(model: OntModel) -> list[Violation]:
             out.append(Violation(f"preparation {p.name}", "mu length != lambda size",
                                  abs(len(p.mu) - n_lam)))
             continue
+        nonfinite = sum(1 for x in p.mu if not math.isfinite(x))
+        if nonfinite:
+            out.append(Violation(f"preparation {p.name}", "non-finite mu entries",
+                                 float(nonfinite)))
+            continue
         neg = [x for x in p.mu if x < 0]
         if neg:
             out.append(Violation(f"preparation {p.name}", "negative mu entries", -min(neg)))
@@ -118,9 +124,15 @@ def validate(model: OntModel) -> list[Violation]:
         if abs(total - 1.0) > PROB_TOL:
             out.append(Violation(f"preparation {p.name}", f"sum(mu) = {total!r}", abs(total - 1.0)))
     for m in model.measurements:
-        rows = np.asarray(m.xi, dtype=float)
-        if rows.ndim != 2 or rows.shape != (len(m.outcomes), n_lam):
+        # row lengths are checked before numpy sees them: a ragged xi has no array shape
+        if not m.xi or len(m.xi) != len(m.outcomes) or any(len(r) != n_lam for r in m.xi):
             out.append(Violation(f"measurement {m.name}", "xi shape != (outcomes, lambda)", 0.0))
+            continue
+        rows = np.asarray(m.xi, dtype=float)
+        nonfinite = int(np.count_nonzero(~np.isfinite(rows)))
+        if nonfinite:
+            out.append(Violation(f"measurement {m.name}", "non-finite xi entries",
+                                 float(nonfinite)))
             continue
         if (rows < -PROB_TOL).any() or (rows > 1 + PROB_TOL).any():
             worst = max(float((-rows).max()), float((rows - 1).max()))

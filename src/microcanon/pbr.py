@@ -214,11 +214,9 @@ def _minimax_lp(weights: np.ndarray, pairs: list[tuple[int, int]]) -> MinimaxRes
     a_ub = np.zeros((len(pairs), n_var))
     for row, (p, k) in enumerate(pairs):
         a_ub[row, k * n_lam:(k + 1) * n_lam] = weights[p]
-        a_ub[row, -1] = -1.0
-    a_eq = np.zeros((n_lam, n_var))
-    for lam in range(n_lam):
-        for k in range(n_out):
-            a_eq[lam, k * n_lam + lam] = 1.0
+    a_ub[:, -1] = -1.0
+    # one row per state: its outcome column sums to one (t has no weight)
+    a_eq = np.hstack([np.tile(np.eye(n_lam), n_out), np.zeros((n_lam, 1))])
     c = np.zeros(n_var)
     c[-1] = 1.0
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(pairs)),
@@ -238,17 +236,13 @@ def _minimax_lp(weights: np.ndarray, pairs: list[tuple[int, int]]) -> MinimaxRes
     return MinimaxResult(value=value, xi=xi)
 
 
-def _simplex_grid(resolution: int, parts: int) -> list[tuple[float, ...]]:
-    pts = []
-    for cuts in itertools.combinations(range(resolution + parts - 1), parts - 1):
-        prev = -1
-        counts = []
-        for c in cuts:
-            counts.append(c - prev - 1)
-            prev = c
-        counts.append(resolution + parts - 2 - prev)
-        pts.append(tuple(c / resolution for c in counts))
-    return pts
+def _simplex_grid(resolution: int, parts: int) -> np.ndarray:
+    """Simplex points with coordinates in multiples of 1/resolution, one per
+    row, in the lexicographic order of their stars-and-bars cut positions."""
+    cuts = np.array(list(itertools.combinations(range(resolution + parts - 1),
+                                                parts - 1)))
+    counts = np.diff(cuts, axis=1, prepend=-1, append=resolution + parts - 1) - 1
+    return counts / resolution
 
 
 def _minimax_grid(weights: np.ndarray, pairs: list[tuple[int, int]],
@@ -262,6 +256,8 @@ def _minimax_grid(weights: np.ndarray, pairs: list[tuple[int, int]],
     n_lam = weights.shape[1]
     xi = np.full((n_out, n_lam), 1.0 / n_out)
     candidates = _simplex_grid(resolution, n_out)
+    ps = [p for p, _ in pairs]
+    ks = [k for _, k in pairs]
 
     def pair_probs():
         return np.array([float(weights[p] @ xi[k]) for p, k in pairs])
@@ -269,17 +265,15 @@ def _minimax_grid(weights: np.ndarray, pairs: list[tuple[int, int]],
     for _ in range(sweeps):
         changed = False
         for lam in range(n_lam):
-            w_lam = np.array([weights[p][lam] for p, _ in pairs])
-            base = pair_probs() - w_lam * np.array([xi[k][lam] for _, k in pairs])
-            best_col, best_key = None, None
-            for cand in candidates:
-                tot = base + w_lam * np.array([cand[k] for _, k in pairs])
-                # lexicographic objective: the max decides, the sum breaks
-                # ties so slack columns do not park mass on outcomes that
-                # become binding later in the sweep
-                key = (float(np.max(tot)), float(np.sum(tot)))
-                if best_key is None or key < best_key:
-                    best_key, best_col = key, cand
+            w_lam = weights[ps, lam]
+            base = pair_probs() - w_lam * xi[ks, lam]
+            # rows = candidate columns, columns = forbidden pairs
+            tot = base + w_lam * candidates[:, ks]
+            # lexicographic objective: the max decides, the sum breaks ties so
+            # slack columns do not park mass on outcomes that become binding
+            # later in the sweep; lexsort is stable, so among equal keys the
+            # earliest candidate wins
+            best_col = candidates[np.lexsort((tot.sum(axis=1), tot.max(axis=1)))[0]]
             if not np.allclose(xi[:, lam], best_col):
                 xi[:, lam] = best_col
                 changed = True
@@ -312,6 +306,8 @@ def min_forbidden_probability(q: float, resolution: int = 50,
 def minimize_forbidden(q: float, resolution: int = 50,
                        method: str = "lp") -> MinimaxResult:
     """As min_forbidden_probability but also returns the witness response."""
+    if method == "grid" and resolution < 1:
+        raise DomainError(f"grid resolution {resolution} < 1")
     family = OverlapFamily(q=q)  # validates q's domain
     weights = ProductModel.from_family(family).weights()
     targets = quantum_targets()
@@ -358,13 +354,14 @@ def epsilon_overlap_tradeoff(eps_grid: list[float], resolution: int = 50,
     q_max(eps) = sup {q : min_forbidden_probability(q) <= eps}, found by
     bisection; monotone because raising q only tightens the constraints.
     """
-    if any(e < 0 or e > 1 for e in eps_grid):
+    if any(not 0 <= e <= 1 for e in eps_grid):  # NaN fails too
         raise DomainError("eps values must lie in [0, 1]")
     if sorted(eps_grid) != list(eps_grid):
         raise DomainError("eps grid must be sorted ascending")
+    at_full_overlap = min_forbidden_probability(1.0, resolution, method)
     curve = []
     for eps in eps_grid:
-        if min_forbidden_probability(1.0, resolution, method) <= eps:
+        if at_full_overlap <= eps:
             curve.append((eps, 1.0))
             continue
         lo, hi = 0.0, 1.0  # lo always feasible: min_forbidden(0) = 0 <= eps

@@ -14,10 +14,14 @@ from microcanon import cli
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MARBLES = str(FIXTURES / "marbles.json")
-# stdout, stderr and exit code of gas enumerate/argmax/measure calls, recorded
-# from the release before Omega became exact at every N
-GOLDEN = json.loads((Path(__file__).resolve().parent / "data" / "gas_cli_golden.json")
-                    .read_text(encoding="utf-8"))
+# stdout, stderr and exit code of CLI calls: gas enumerate/argmax/measure,
+# recorded from the release before Omega became exact at every N, and pbr
+# demo/scan, recorded from the release before the grid descent scored all
+# candidate columns in one array pass
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = {argv: want
+          for name in ("gas_cli_golden.json", "pbr_cli_golden.json")
+          for argv, want in json.loads((DATA / name).read_text(encoding="utf-8")).items()}
 
 
 @contextlib.contextmanager
@@ -219,6 +223,19 @@ class TestPbrCommands:
         second = lines[2].split(",")
         assert float(first[1]) == 0.0
         assert float(second[1]) == pytest.approx(0.5, abs=1e-6)
+
+    @pytest.mark.parametrize("argv", [
+        ("demo", "--method", "grid", "--resolution", "0"),
+        ("demo", "--method", "grid", "--resolution", "-3"),
+        ("scan", "--eps-grid", "nan"),
+        ("scan", "--eps-grid", "0.1,nan"),
+    ])
+    def test_bad_input_is_a_json_diagnostic(self, argv):
+        proc = run_cli("pbr", *argv)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "DomainError"
 
     def test_cat_round_trips_through_validate(self, tmp_path):
         model_path = tmp_path / "cat.json"

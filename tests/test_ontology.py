@@ -51,6 +51,25 @@ class TestValidate:
         viols = ontology.validate(ontology.model_from_dict(doc))
         assert any("target length" in v.message for v in viols)
 
+    def test_detects_ragged_xi(self, marbles):
+        doc = ontology.model_to_dict(marbles)
+        doc["measurements"][0]["xi"][1].pop()
+        viols = ontology.validate(ontology.model_from_dict(doc))
+        assert [v.message for v in viols] == ["xi shape != (outcomes, lambda)"]
+
+    def test_detects_nan_mu(self, marbles):
+        doc = ontology.model_to_dict(marbles)
+        doc["preparations"][0]["mu"][0] = float("nan")
+        viols = ontology.validate(ontology.model_from_dict(doc))
+        assert [(v.message, v.magnitude) for v in viols] == [("non-finite mu entries", 1.0)]
+
+    def test_detects_nonfinite_xi(self, marbles):
+        doc = ontology.model_to_dict(marbles)
+        doc["measurements"][0]["xi"][0][0] = float("nan")
+        doc["measurements"][0]["xi"][1][0] = float("inf")
+        viols = ontology.validate(ontology.model_from_dict(doc))
+        assert [(v.message, v.magnitude) for v in viols] == [("non-finite xi entries", 2.0)]
+
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=6))
     @settings(max_examples=50)
     def test_normalized_random_models_pass(self, raw):

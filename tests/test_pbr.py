@@ -128,14 +128,14 @@ class TestMinimax:
         assert np.all(res.xi >= -1e-9)
         assert np.allclose(res.xi.sum(axis=0), 1.0, atol=1e-9)
 
-    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("q", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     def test_grid_upper_bounds_lp(self, q):
-        resolution = 50
         lp = pbr.min_forbidden_probability(q, method="lp")
-        grid = pbr.min_forbidden_probability(q, resolution=resolution,
-                                             method="grid")
-        assert grid >= lp - 1e-12
-        assert grid - lp <= 1.0 / resolution
+        for resolution in (4, 16, 50):
+            grid = pbr.min_forbidden_probability(q, resolution=resolution,
+                                                 method="grid")
+            assert grid >= lp - 1e-12, resolution
+            assert grid - lp <= 1.0 / resolution, resolution
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -190,6 +190,19 @@ class TestTradeoff:
             pbr.epsilon_overlap_tradeoff([0.2, 0.1])
         with pytest.raises(DomainError):
             pbr.epsilon_overlap_tradeoff([-0.1])
+        with pytest.raises(DomainError):
+            pbr.epsilon_overlap_tradeoff([float("nan")])
+        with pytest.raises(DomainError):
+            pbr.epsilon_overlap_tradeoff([0.1, float("nan")])
+
+    def test_full_overlap_solved_once(self, monkeypatch):
+        calls = []
+        real = pbr.min_forbidden_probability
+        monkeypatch.setattr(pbr, "min_forbidden_probability",
+                            lambda q, *a: calls.append(q) or real(q, *a))
+        curve = pbr.epsilon_overlap_tradeoff([0.01, 0.25, 0.5])
+        assert [q for _, q in curve[1:]] == [1.0, 1.0]
+        assert calls.count(1.0) == 1
 
 
 class TestCatFixture:
