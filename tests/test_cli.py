@@ -12,15 +12,18 @@ import pytest
 
 from microcanon import cli
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 MARBLES = str(FIXTURES / "marbles.json")
 # stdout, stderr and exit code of CLI calls: gas enumerate/argmax/measure,
-# recorded from the release before Omega became exact at every N, and pbr
+# recorded from the release before Omega became exact at every N; pbr
 # demo/scan, recorded from the release before the grid descent scored all
-# candidate columns in one array pass
+# candidate columns in one array pass; and every other command, recorded
+# from the release before one emitter wrote all CSV and JSON output.
+# "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
-          for name in ("gas_cli_golden.json", "pbr_cli_golden.json")
+          for name in ("gas_cli_golden.json", "pbr_cli_golden.json", "cli_golden.json")
           for argv, want in json.loads((DATA / name).read_text(encoding="utf-8")).items()}
 
 
@@ -257,7 +260,7 @@ class TestPbrCommands:
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_gas_output_is_golden(argv, capsys):
     want = GOLDEN[argv]
-    assert cli.run(argv.split()) == want["code"]
+    assert cli.run([a.replace("{repo}", str(ROOT)) for a in argv.split()]) == want["code"]
     out, err = capsys.readouterr()
     assert out == want["stdout"]
     assert err == want["stderr"]
