@@ -20,10 +20,6 @@ from . import continuum, ensemble, ontology, pbr
 from .errors import MicrocanonError
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -32,16 +28,36 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, (tuple, list)):
+        return json.dumps(value)
+    return str(value)
+
+
+def _emit_records(args, columns: tuple[str, ...], rows, doc=None) -> int:
+    """Write a command's table as CSV or JSON; the only reader of args.format.
+
+    rows are value tuples in column order.  CSV is a header plus one line per
+    row, every cell by the rule in _cell.  JSON is the rows as records keyed
+    by column, or doc() where the command's JSON document differs from its
+    CSV rows; doc is called only for JSON, so CSV never builds it.
+    """
+    if args.format == "json":
+        text = _json_text(doc() if doc else [dict(zip(columns, row)) for row in rows])
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(map(_cell, row) for row in rows)
+        text = buf.getvalue()
+    _emit(args, text)
+    return 0
 
 
 def _gas_spec(args) -> ensemble.GasSpec:
@@ -68,17 +84,11 @@ def _emit_binnings(args, states) -> int:
     sum of omega across the listed states, from one multiplicity each."""
     mults = [ensemble.multiplicity(s) for s in states]
     total = sum(mv.exact for mv in mults)
+    rows = [(s.n, mv.exact, mv.log_omega, mv.exact / total) for s, mv in zip(states, mults)]
     with _unlimited_int_digits():
-        if args.format == "json":
-            _emit(args, _json_text([
-                {"binning": list(s.n), "omega": mv.exact, "log_omega": mv.log_omega,
-                 "entropy": mv.log_omega, "mu": mv.exact / total}
-                for s, mv in zip(states, mults)]))
-        else:
-            _emit(args, _csv_table(["binning", "omega", "entropy", "mu"], [
-                [json.dumps(list(s.n)), str(mv.exact), _fmt(mv.log_omega), _fmt(mv.exact / total)]
-                for s, mv in zip(states, mults)]))
-    return 0
+        return _emit_records(args, ("binning", "omega", "entropy", "mu"), rows, doc=lambda: [
+            {"binning": n, "omega": omega, "log_omega": log_omega, "entropy": log_omega, "mu": mu}
+            for n, omega, log_omega, mu in rows])
 
 
 def cmd_gas_enumerate(args) -> int:
@@ -94,83 +104,51 @@ def cmd_gas_argmax(args) -> int:
 def cmd_gas_fit(args) -> int:
     spec = _gas_spec(args)
     fit = ensemble.boltzmann_fit(spec)
-    if args.format == "json":
-        _emit(args, _json_text({"alpha": fit.alpha, "beta": fit.beta,
-                                "predicted": list(fit.predicted)}))
-    else:
-        rows = [[str(i), _fmt(spec.energy(i)), _fmt(p), _fmt(fit.alpha), _fmt(fit.beta)]
-                for i, p in enumerate(fit.predicted)]
-        _emit(args, _csv_table(["bin", "eps", "predicted", "alpha", "beta"], rows))
-    return 0
+    rows = [(i, spec.energy(i), p, fit.alpha, fit.beta) for i, p in enumerate(fit.predicted)]
+    return _emit_records(args, ("bin", "eps", "predicted", "alpha", "beta"), rows, doc=lambda: {
+        "alpha": fit.alpha, "beta": fit.beta, "predicted": fit.predicted})
 
 
 def cmd_gas_solve(args) -> int:
     gas = continuum.ContinuumGas(n=args.n, t=args.k * args.t, eps0=args.eps0)
     e1 = continuum.solve_total_energy(gas)
-    if args.format == "json":
-        _emit(args, _json_text({"e1": e1}))
-    else:
-        _emit(args, _csv_table(["e1"], [[_fmt(e1)]]))
-    return 0
+    return _emit_records(args, ("e1",), [(e1,)], doc=lambda: {"e1": e1})
 
 
 def cmd_gas_sample(args) -> int:
     spec = _gas_spec(args)
     counts = ensemble.sample_microstates(spec, steps=args.steps, seed=args.seed)
-    doc = {json.dumps(list(k)): v for k, v in sorted(counts.items())}
-    if args.format == "csv":
-        rows = [[k, str(v)] for k, v in doc.items()]
-        _emit(args, _csv_table(["binning", "count"], rows))
-    else:
-        _emit(args, _json_text(doc))
-    return 0
+    rows = sorted(counts.items())
+    return _emit_records(args, ("binning", "count"), rows,
+                         doc=lambda: {json.dumps(n): count for n, count in rows})
 
 
 def cmd_gas_measure(args) -> int:
     spec = _gas_spec(args)
     gm = ontology.gas_model(spec, max_states=args.max_states)
-    probs = gm.outcome_probabilities_exact()
-    if args.format == "json":
-        _emit(args, _json_text([
-            {"outcome": o, "eps": e, "p": float(p)}
-            for o, e, p in zip(gm.model.measurements[0].outcomes,
-                               gm.outcome_energies, probs)
-        ]))
-    else:
-        rows = [[o, _fmt(e), _fmt(float(p))]
-                for o, e, p in zip(gm.model.measurements[0].outcomes,
-                                   gm.outcome_energies, probs)]
-        _emit(args, _csv_table(["outcome", "eps", "p"], rows))
-    return 0
+    rows = [(o, e, float(p)) for o, e, p in zip(gm.model.measurements[0].outcomes,
+                                                 gm.outcome_energies,
+                                                 gm.outcome_probabilities_exact())]
+    return _emit_records(args, ("outcome", "eps", "p"), rows)
 
 
 def cmd_ontology_validate(args) -> int:
     model = ontology.load_model(args.model)
     report = ontology.validate(model)
-    doc = [{"where": v.where, "message": v.message, "magnitude": v.magnitude}
-           for v in report]
-    if args.format == "csv":
-        rows = [[v.where, v.message, _fmt(v.magnitude)] for v in report]
-        _emit(args, _csv_table(["where", "message", "magnitude"], rows))
-    else:
-        _emit(args, _json_text({"valid": not report, "violations": doc}))
-    return 0
+    return _emit_records(args, ("where", "message", "magnitude"),
+                         [(v.where, v.message, v.magnitude) for v in report],
+                         doc=lambda: {"valid": not report,
+                                      "violations": [v.__dict__ for v in report]})
 
 
 def cmd_ontology_check(args) -> int:
     model = ontology.load_model(args.model)
     max_dev, table = ontology.born_deviation(model)
-    if args.format == "csv":
-        rows = [[e.preparation, e.measurement, e.outcome,
-                 _fmt(e.target), _fmt(e.actual), _fmt(e.deviation)] for e in table]
-        _emit(args, _csv_table(
-            ["preparation", "measurement", "outcome", "target", "actual", "deviation"], rows))
-    else:
-        _emit(args, _json_text({
-            "max_deviation": max_dev,
-            "table": [e.__dict__ for e in table],
-        }))
-    return 0
+    return _emit_records(
+        args, ("preparation", "measurement", "outcome", "target", "actual", "deviation"),
+        [(e.preparation, e.measurement, e.outcome, e.target, e.actual, e.deviation)
+         for e in table],
+        doc=lambda: {"max_deviation": max_dev, "table": [e.__dict__ for e in table]})
 
 
 def cmd_ontology_overlap(args) -> int:
@@ -178,33 +156,20 @@ def cmd_ontology_overlap(args) -> int:
     p1 = model.preparation(args.pair[0])
     p2 = model.preparation(args.pair[1])
     report = ontology.overlap_classify(p1, p2, model.lam)
-    if args.format == "json":
-        _emit(args, _json_text({
-            "class": report.classification,
-            "omega": report.overlap_mass,
-            "common_support": list(report.common_support_labels),
-        }))
-    else:
-        _emit(args, _csv_table(
-            ["class", "omega", "common_support"],
-            [[report.classification, _fmt(report.overlap_mass),
-              " ".join(report.common_support_labels)]]))
-    return 0
+    return _emit_records(
+        args, ("class", "omega", "common_support"),
+        [(report.classification, report.overlap_mass, " ".join(report.common_support_labels))],
+        doc=lambda: {"class": report.classification, "omega": report.overlap_mass,
+                     "common_support": report.common_support_labels})
 
 
 def cmd_ontology_classify(args) -> int:
     model = ontology.load_model(args.model)
     info = ontology.information_class(model)
-    if args.format == "json":
-        _emit(args, _json_text({
-            "verdict": info.verdict,
-            "per_lambda": {k: list(v) for k, v in info.per_lambda.items()},
-        }))
-    else:
-        rows = [[label, " ".join(owners), info.verdict]
-                for label, owners in info.per_lambda.items()]
-        _emit(args, _csv_table(["lambda", "preparations", "verdict"], rows))
-    return 0
+    return _emit_records(args, ("lambda", "preparations", "verdict"),
+                         [(label, " ".join(owners), info.verdict)
+                          for label, owners in info.per_lambda.items()],
+                         doc=lambda: {"verdict": info.verdict, "per_lambda": info.per_lambda})
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -212,33 +177,19 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_pbr_demo(args) -> int:
-    qs = _parse_grid(args.q_grid)
-    rows = []
-    for q in qs:
-        v = pbr.min_forbidden_probability(q, resolution=args.resolution,
-                                          method=args.method)
-        rows.append((q, v))
-    if args.format == "json":
-        _emit(args, _json_text([{"q": q, "min_forbidden_prob": v} for q, v in rows]))
-    else:
-        _emit(args, _csv_table(["q", "min_forbidden_prob"],
-                               [[_fmt(q), _fmt(v)] for q, v in rows]))
-    return 0
+    rows = [(q, pbr.min_forbidden_probability(q, resolution=args.resolution, method=args.method))
+            for q in _parse_grid(args.q_grid)]
+    return _emit_records(args, ("q", "min_forbidden_prob"), rows)
 
 
 def cmd_pbr_scan(args) -> int:
-    eps_grid = _parse_grid(args.eps_grid)
-    curve = pbr.epsilon_overlap_tradeoff(eps_grid, resolution=args.resolution,
-                                         method=args.method)
-    if args.format == "json":
-        _emit(args, _json_text([{"eps": e, "q_max": q} for e, q in curve]))
-    else:
-        _emit(args, _csv_table(["eps", "q_max"],
-                               [[_fmt(e), _fmt(q)] for e, q in curve]))
-    return 0
+    curve = pbr.epsilon_overlap_tradeoff(_parse_grid(args.eps_grid),
+                                         resolution=args.resolution, method=args.method)
+    return _emit_records(args, ("eps", "q_max"), curve)
 
 
 def cmd_pbr_cat(args) -> int:
+    # a model document in either format: there is no table to print
     fixture = pbr.cat_fixture(complex(args.a), complex(args.b))
     _emit(args, _json_text(ontology.model_to_dict(fixture.model)))
     return 0

@@ -29,6 +29,10 @@ class DimensionMismatch(MicrocanonError):
     """Operands live over different spaces or have incompatible shapes."""
 
 
+class SchemaError(MicrocanonError):
+    """A model document does not have the JSON shape of the model schema."""
+
+
 class MissingTargets(MicrocanonError):
     """Operation needs target probabilities the model does not carry."""
 

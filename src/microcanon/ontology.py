@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ensemble
-from .errors import DimensionMismatch, MissingTargets
+from .errors import DimensionMismatch, MissingTargets, SchemaError
 
 PROB_TOL = 1e-12
 
@@ -157,6 +157,10 @@ def validate(model: OntModel) -> list[Violation]:
                     out.append(Violation(where, "target length != outcome count",
                                          abs(len(probs) - len(m.outcomes))))
                     continue
+                nonfinite = sum(1 for x in probs if not math.isfinite(x))
+                if nonfinite:
+                    out.append(Violation(where, "non-finite target entries", float(nonfinite)))
+                    continue
                 total = sum(probs)
                 if abs(total - 1.0) > PROB_TOL:
                     out.append(Violation(where, f"targets sum to {total!r}", abs(total - 1.0)))
@@ -167,6 +171,13 @@ def outcome_distribution(model: OntModel, prep: str, meas: str) -> np.ndarray:
     """P(outcome k) = sum_lam xi[k, lam] mu[lam]."""
     p = model.preparation(prep)
     m = model.measurement(meas)
+    n_lam = model.lam.size
+    if len(p.mu) != n_lam:
+        raise DimensionMismatch(
+            f"preparation {prep} has {len(p.mu)} mu entries over {n_lam} states")
+    if len(m.xi) != len(m.outcomes) or any(len(row) != n_lam for row in m.xi):
+        raise DimensionMismatch(f"measurement {meas}: xi shape != ({len(m.outcomes)} outcomes, "
+                                f"{n_lam} states)")
     return np.asarray(m.xi, dtype=float) @ np.asarray(p.mu, dtype=float)
 
 
@@ -188,6 +199,9 @@ def born_deviation(model: OntModel) -> tuple[float, list[DeviationEntry]]:
     for pname, per_meas in model.born_targets.items():
         for mname, targets in per_meas.items():
             m = model.measurement(mname)
+            if len(targets) != len(m.outcomes):
+                raise DimensionMismatch(f"born_targets[{pname}][{mname}] has {len(targets)} "
+                                        f"entries for {len(m.outcomes)} outcomes")
             actual = outcome_distribution(model, pname, mname)
             for k, outcome in enumerate(m.outcomes):
                 table.append(DeviationEntry(
@@ -347,34 +361,76 @@ def model_to_dict(model: OntModel) -> dict:
     return doc
 
 
+_NUMBER = (int, float)
+_KINDS = {dict: "an object", list: "a list", str: "a string", _NUMBER: "a number"}
+
+
+def _expect(value, where: str, kind):
+    """value itself when it is a JSON value of the given kind, else SchemaError."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{where} must be {_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _field(obj: dict, key: str, where: str) -> tuple:
+    """obj[key] and its path, for a key the schema requires."""
+    if key not in obj:
+        raise SchemaError(f"{where} has no key {key!r}")
+    return obj[key], f"{where}.{key}"
+
+
+def _list_of(value, where: str, kind) -> tuple:
+    for i, x in enumerate(_expect(value, where, list)):
+        if not isinstance(x, kind):
+            _expect(x, f"{where}[{i}]", kind)
+    return tuple(value)
+
+
+def _floats(value, where: str) -> tuple[float, ...]:
+    # one C-level pass over the entry types; the slow pass only names a bad entry
+    if not set(map(type, _expect(value, where, list))) <= {int, float}:
+        _list_of(value, where, _NUMBER)
+    return tuple(map(float, value))
+
+
 def model_from_dict(doc: dict) -> OntModel:
-    targets = None
-    if "born_targets" in doc and doc["born_targets"] is not None:
+    """Model from its JSON document; a SchemaError names the first value of the wrong shape."""
+    _expect(doc, "model", dict)
+    preparations = []
+    for i, p in enumerate(_list_of(*_field(doc, "preparations", "model"), dict)):
+        where = f"model.preparations[{i}]"
+        preparations.append(EpistemicState(name=_expect(*_field(p, "name", where), str),
+                                           mu=_floats(*_field(p, "mu", where))))
+    measurements = []
+    for i, m in enumerate(_list_of(*_field(doc, "measurements", "model"), dict)):
+        where = f"model.measurements[{i}]"
+        xi, xi_where = _field(m, "xi", where)
+        measurements.append(ResponseFunction(
+            name=_expect(*_field(m, "name", where), str),
+            outcomes=_list_of(*_field(m, "outcomes", where), str),
+            xi=tuple(_floats(row, f"{xi_where}[{k}]")
+                     for k, row in enumerate(_expect(xi, xi_where, list))),
+        ))
+    targets = doc.get("born_targets")
+    if targets is not None:
         targets = {
-            p: {m: tuple(float(x) for x in v) for m, v in per.items()}
-            for p, per in doc["born_targets"].items()
+            p: {m: _floats(v, f"model.born_targets.{p}.{m}")
+                for m, v in _expect(per, f"model.born_targets.{p}", dict).items()}
+            for p, per in _expect(targets, "model.born_targets", dict).items()
         }
     return OntModel(
-        lam=LambdaSpace(labels=tuple(doc["lambda"])),
-        preparations=tuple(
-            EpistemicState(name=p["name"], mu=tuple(float(x) for x in p["mu"]))
-            for p in doc["preparations"]
-        ),
-        measurements=tuple(
-            ResponseFunction(
-                name=m["name"],
-                outcomes=tuple(m["outcomes"]),
-                xi=tuple(tuple(float(x) for x in row) for row in m["xi"]),
-            )
-            for m in doc["measurements"]
-        ),
+        lam=LambdaSpace(labels=_list_of(*_field(doc, "lambda", "model"), str)),
+        preparations=tuple(preparations),
+        measurements=tuple(measurements),
         born_targets=targets,
     )
 
 
 def load_model(path: str) -> OntModel:
+    # every JSON number is read as a float: an integer past the float range
+    # becomes inf, which validate() reports, instead of overflowing float()
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        return model_from_dict(json.load(fh, parse_int=float))
 
 
 def save_model(model: OntModel, path: str):

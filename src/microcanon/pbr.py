@@ -167,13 +167,11 @@ class OverlapFamily:
 class ProductModel:
     """Preparation-independent two-system model: joint mu are outer products."""
 
-    single: OntModel
     joint_labels: tuple[str, ...]
     joint_preparations: tuple[EpistemicState, ...]
 
     @classmethod
     def from_family(cls, family: OverlapFamily) -> "ProductModel":
-        single = family.single_model()
         labels = tuple(f"{a}|{b}" for a in SINGLE_LABELS for b in SINGLE_LABELS)
         singles = {"0": family.mu_0, "+": family.mu_plus}
         preps = []
@@ -181,7 +179,7 @@ class ProductModel:
             left, right = name.split(",")
             joint = np.outer(singles[left], singles[right]).ravel()
             preps.append(EpistemicState(name=name, mu=tuple(float(x) for x in joint)))
-        return cls(single=single, joint_labels=labels, joint_preparations=tuple(preps))
+        return cls(joint_labels=labels, joint_preparations=tuple(preps))
 
     def weights(self) -> np.ndarray:
         """Joint preparation weights, rows = PREP_NAMES, columns = joint states."""

@@ -197,6 +197,37 @@ class TestOntologyCommands:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "DimensionMismatch"
 
+    @pytest.mark.parametrize("command", [
+        ("validate",), ("check",), ("overlap", "--pair", "A", "B"), ("classify",),
+    ], ids=lambda c: c[0])
+    @pytest.mark.parametrize("malformed", ["list-document", "int-mu"])
+    def test_malformed_model_is_a_json_diagnostic(self, tmp_path, command, malformed):
+        doc = json.loads(Path(MARBLES).read_text(encoding="utf-8"))
+        if malformed == "list-document":
+            doc = [doc]
+        else:
+            doc["preparations"][0]["mu"] = 5
+        model_path = tmp_path / "malformed.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli("ontology", command[0], str(model_path), *command[1:])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == "SchemaError"
+
+    def test_check_short_mu_is_error(self, tmp_path):
+        doc = json.loads((DATA / "invalid_model.json").read_text(encoding="utf-8"))
+        doc["born_targets"]["A"] = {"color": [0.5, 0.5, 0.0]}
+        model_path = tmp_path / "short.json"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_cli("ontology", "check", str(model_path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr) == {
+            "error": "DimensionMismatch",
+            "message": "preparation A has 2 mu entries over 3 states",
+        }
+
     def test_unknown_preparation_is_error(self):
         proc = run_cli("ontology", "overlap", MARBLES, "--pair", "A", "Z")
         assert proc.returncode == 1

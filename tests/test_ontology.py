@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microcanon import ensemble, ontology
-from microcanon.errors import DimensionMismatch, MissingTargets
+from microcanon.errors import DimensionMismatch, MissingTargets, SchemaError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -70,6 +70,17 @@ class TestValidate:
         viols = ontology.validate(ontology.model_from_dict(doc))
         assert [(v.message, v.magnitude) for v in viols] == [("non-finite xi entries", 2.0)]
 
+    def test_detects_nonfinite_targets(self, marbles):
+        doc = ontology.model_to_dict(marbles)
+        doc["born_targets"]["A"]["color"][0] = float("nan")
+        doc["born_targets"]["B"]["color"][1] = float("inf")
+        doc["born_targets"]["B"]["color"][2] = float("-inf")
+        viols = ontology.validate(ontology.model_from_dict(doc))
+        assert [(v.where, v.message, v.magnitude) for v in viols] == [
+            ("born_targets[A][color]", "non-finite target entries", 1.0),
+            ("born_targets[B][color]", "non-finite target entries", 2.0),
+        ]
+
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=6))
     @settings(max_examples=50)
     def test_normalized_random_models_pass(self, raw):
@@ -103,6 +114,23 @@ class TestBornDeviation:
         doc["born_targets"][prep]["color"][1] += 0.10
         max_dev, _ = ontology.born_deviation(ontology.model_from_dict(doc))
         assert max_dev == pytest.approx(0.10, abs=1e-12)
+
+    def test_short_mu_is_dimension_mismatch(self, marbles):
+        doc = ontology.model_to_dict(marbles)
+        doc["preparations"][0]["mu"].pop()
+        with pytest.raises(DimensionMismatch, match="preparation A has 3 mu entries"):
+            ontology.born_deviation(ontology.model_from_dict(doc))
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["born_targets"]["A"]["color"].pop(),
+        lambda d: d["measurements"][0]["xi"].pop(),
+        lambda d: d["measurements"][0]["xi"][1].pop(),
+    ], ids=["short-targets", "missing-xi-row", "ragged-xi"])
+    def test_shape_mismatch_is_dimension_mismatch(self, marbles, edit):
+        doc = ontology.model_to_dict(marbles)
+        edit(doc)
+        with pytest.raises(DimensionMismatch):
+            ontology.born_deviation(ontology.model_from_dict(doc))
 
     def test_missing_targets_raise(self, marbles):
         doc = ontology.model_to_dict(marbles)
@@ -247,6 +275,16 @@ class TestSerialization:
         back = ontology.load_model(str(path))
         assert back == marbles
 
+    def test_integer_past_float_range_loads_as_inf(self, marbles, tmp_path):
+        doc = ontology.model_to_dict(marbles)
+        doc["preparations"][0]["mu"][0] = 10 ** 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        model = ontology.load_model(str(path))
+        assert model.preparations[0].mu[0] == float("inf")
+        viols = ontology.validate(model)
+        assert [(v.message, v.magnitude) for v in viols] == [("non-finite mu entries", 1.0)]
+
     def test_schema_keys(self, marbles):
         doc = ontology.model_to_dict(marbles)
         assert set(doc) == {"lambda", "preparations", "measurements", "born_targets"}
@@ -257,3 +295,52 @@ class TestSerialization:
         doc = ontology.model_to_dict(gm.model)
         assert "born_targets" not in doc
         assert ontology.model_from_dict(doc).born_targets is None
+
+
+DELETE = object()
+
+
+def _edited(doc, path: tuple, value):
+    """doc with the value at path replaced (or deleted); the empty path replaces doc."""
+    if not path:
+        return value
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+class TestModelDocument:
+    @pytest.mark.parametrize("path, value, message", [
+        ((), [], "model must be an object, not list"),
+        (("lambda",), DELETE, "model has no key 'lambda'"),
+        (("lambda",), "GRBW", "model.lambda must be a list, not str"),
+        (("lambda", 0), [1], "model.lambda[0] must be a string, not list"),
+        (("preparations",), {}, "model.preparations must be a list, not dict"),
+        (("preparations", 0), 3, "model.preparations[0] must be an object, not int"),
+        (("preparations", 0, "mu"), DELETE, "model.preparations[0] has no key 'mu'"),
+        (("preparations", 0, "mu"), 5, "model.preparations[0].mu must be a list, not int"),
+        (("preparations", 1, "mu", 2), None,
+         "model.preparations[1].mu[2] must be a number, not NoneType"),
+        (("preparations", 0, "name"), 7, "model.preparations[0].name must be a string, not int"),
+        (("measurements", 0, "xi"), 5, "model.measurements[0].xi must be a list, not int"),
+        (("measurements", 0, "xi", 2), 5, "model.measurements[0].xi[2] must be a list, not int"),
+        (("measurements", 0, "xi", 0, 1), "0",
+         "model.measurements[0].xi[0][1] must be a number, not str"),
+        (("measurements", 0, "outcomes"), {},
+         "model.measurements[0].outcomes must be a list, not dict"),
+        (("born_targets",), [], "model.born_targets must be an object, not list"),
+        (("born_targets", "A"), 5, "model.born_targets.A must be an object, not int"),
+        (("born_targets", "A", "color"), None,
+         "model.born_targets.A.color must be a list, not NoneType"),
+    ])
+    def test_wrong_shape_names_the_value(self, marbles, path, value, message):
+        doc = _edited(ontology.model_to_dict(marbles), path, value)
+        with pytest.raises(SchemaError) as exc:
+            ontology.model_from_dict(doc)
+        assert str(exc.value) == message

@@ -176,14 +176,18 @@ class TestWitnessModel:
 
 class TestTradeoff:
     def test_passes_through_origin_and_monotone(self):
-        curve = pbr.epsilon_overlap_tradeoff([0.0, 0.01, 0.04, 0.0625, 0.25])
+        search_tol = 1e-9
+        curve = pbr.epsilon_overlap_tradeoff(
+            [0.0, 0.001, 0.005, 0.01, 0.0625, 0.1, 0.24, 0.25, 0.3],
+            method="lp", search_tol=search_tol)
         assert curve[0] == (0.0, 0.0)
         qs = [q for _, q in curve]
         for a, b in zip(qs, qs[1:]):
             assert b >= a
-        # min_forbidden(q) = q^2/4 inverts to q_max(eps) = 2 sqrt(eps)
-        for eps, q in curve[1:]:
-            assert q == pytest.approx(min(1.0, 2.0 * math.sqrt(eps)), abs=1e-6)
+        # min_forbidden(q) = q^2/4 inverts to q_max(eps) = min(1, 2 sqrt(eps)),
+        # which the bisection brackets to within its search tolerance
+        for eps, q in curve:
+            assert abs(q - min(1.0, 2.0 * math.sqrt(eps))) <= search_tol
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
