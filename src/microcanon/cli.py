@@ -41,7 +41,7 @@ def _cell(value) -> str:
 
 
 def _emit_records(args, columns: tuple[str, ...], rows, doc=None) -> int:
-    """Write a command's table as CSV or JSON; the only reader of args.format.
+    """Write a command's table as CSV or JSON; the only reader of the --format flag.
 
     rows are value tuples in column order.  CSV is a header plus one line per
     row, every cell by the rule in _cell.  JSON is the rows as records keyed
