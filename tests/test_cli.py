@@ -18,8 +18,10 @@ MARBLES = str(FIXTURES / "marbles.json")
 # stdout, stderr and exit code of CLI calls: gas enumerate/argmax/measure,
 # recorded from the release before Omega became exact at every N; pbr
 # demo/scan, recorded from the release before the grid descent scored all
-# candidate columns in one array pass; and every other command, recorded
-# from the release before one emitter wrote all CSV and JSON output.
+# candidate columns in one array pass; every other command, recorded
+# from the release before one emitter wrote all CSV and JSON output; and
+# the gas fit/solve and pbr scan cases added with them, recorded from the
+# release before the three root solves shared one bisection.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
