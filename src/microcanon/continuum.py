@@ -20,10 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import roots
 from .errors import DomainError, NoConvergence
 
 # exp argument beyond which the expm1 tail term underflows to zero anyway
 _EXP_CUTOFF = 700.0
+E1_RTOL = 1e-12  # bracket width of the E1 root, relative to max(1, E1)
 
 
 @dataclass(frozen=True)
@@ -110,34 +112,21 @@ def energy_residual(e1: float, gas: ContinuumGas) -> float:
     return (e1 - gas.n * (gas.t + gas.eps0)) + tail
 
 
-def solve_total_energy(gas: ContinuumGas, rtol: float = 1e-12, max_iter: int = 200) -> float:
+def solve_total_energy(gas: ContinuumGas) -> float:
     """Unique physical root of the energy self-consistency condition.
 
     The condition also holds trivially as E1 -> eps0 (empty domain), so the
     bracket starts strictly above eps0.
     """
     lo = gas.eps0 + max(1e-9, 1e-9 * gas.n * gas.t)
-    f_lo = energy_residual(lo, gas)
-    if f_lo >= 0:
+    if energy_residual(lo, gas) >= 0:
         # for N <= 2 the residual never goes negative above eps0: the mean
         # energy per particle is below T everywhere, so no physical root
         raise NoConvergence(
             f"residual non-negative at bracket start E1={lo} (n={gas.n}); "
             "no physical root above eps0"
         )
-    hi = gas.eps0 + 2.0 * gas.n * (gas.t + gas.eps0)
-    grow = 0
-    while energy_residual(hi, gas) < 0:
-        hi = gas.eps0 + 2.0 * (hi - gas.eps0)
-        grow += 1
-        if grow > max_iter:
-            raise NoConvergence(f"no sign change in [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if energy_residual(mid, gas) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rtol * max(1.0, abs(hi)):
-            return 0.5 * (lo + hi)
-    raise NoConvergence(f"bisection cap reached, bracket [{lo}, {hi}]")
+    hi = gas.eps0 + 2.0 * gas.n * (gas.t + gas.eps0)  # residual >= eps0 + N(T + eps0) > 0
+    lo, hi = roots.bisect(lambda e1: energy_residual(e1, gas) < 0, lo, hi,
+                          lambda lo, hi: hi - lo <= E1_RTOL * max(1.0, abs(hi)))
+    return 0.5 * (lo + hi)

@@ -15,9 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import roots
 from .errors import DegenerateEnergy, InfeasibleEnergy, NoConvergence, SizeLimit
 
 DEFAULT_STATE_CAP = 1_000_000
+BETA_TOL = 1e-14  # bracket width of the reduced beta = beta * delta
 
 # Stirling variants for ln m! used in the variational solve.
 STIRLING_MLNM = "m_ln_m"
@@ -181,36 +183,22 @@ def _mean_index(b: float, m: int) -> float:
     return float((i * w).sum() / w.sum())
 
 
-def _solve_reduced_beta(target: float, m: int, tol: float = 1e-14, max_iter: int = 200) -> float:
-    """Root of mean_index(b) - target by bracket growth plus bisection.
+def _solve_reduced_beta(target: float, m: int) -> float:
+    """Root of mean_index(b) = target by doubling [-1, 1], then bisection.
 
     mean_index is strictly decreasing in b, so the root is unique.
     """
-    def f(b):
-        return _mean_index(b, m) - target
-
     lo, hi = -1.0, 1.0
-    grow = 0
-    while f(lo) < 0:
-        lo *= 2.0
-        grow += 1
-        if grow > 200:
-            raise NoConvergence(f"no sign change below b={lo}")
-    while f(hi) > 0:
-        hi *= 2.0
-        grow += 1
-        if grow > 200:
-            raise NoConvergence(f"no sign change above b={hi}")
-    # f(lo) >= 0 >= f(hi)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
+    for _ in range(roots.MAX_STEPS):
+        if _mean_index(lo, m) < target:
+            lo *= 2.0
+        elif _mean_index(hi, m) > target:
+            hi *= 2.0
         else:
-            hi = mid
-        if hi - lo <= tol:
+            lo, hi = roots.bisect(lambda b: _mean_index(b, m) > target, lo, hi,
+                                  lambda lo, hi: hi - lo <= BETA_TOL)
             return 0.5 * (lo + hi)
-    raise NoConvergence(f"bisection cap reached, bracket [{lo}, {hi}]")
+    raise NoConvergence(f"no sign change in b=[{lo}, {hi}]")
 
 
 def _logsumexp(x: np.ndarray) -> float:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from . import roots
 from .errors import DimensionMismatch, DomainError, NormalizationError
 from .ontology import (
     EpistemicState,
@@ -33,6 +34,7 @@ from .ontology import (
 
 NORM_TOL = 1e-12
 FORBIDDEN_TOL = 1e-12  # Born probability below this counts as an analytic zero
+SEARCH_TOL = 1e-9  # bracket width of the eps -> q_max bisection
 
 
 @dataclass(frozen=True)
@@ -345,8 +347,7 @@ def witness_model(q: float, resolution: int = 50, method: str = "lp") -> OntMode
 
 
 def epsilon_overlap_tradeoff(eps_grid: list[float], resolution: int = 50,
-                             method: str = "lp", search_tol: float = 1e-9
-                             ) -> list[tuple[float, float]]:
+                             method: str = "lp") -> list[tuple[float, float]]:
     """For each tolerance eps, the largest overlap q still explaining it.
 
     q_max(eps) = sup {q : min_forbidden_probability(q) <= eps}, found by
@@ -362,16 +363,12 @@ def epsilon_overlap_tradeoff(eps_grid: list[float], resolution: int = 50,
         if at_full_overlap <= eps:
             curve.append((eps, 1.0))
             continue
-        lo, hi = 0.0, 1.0  # lo always feasible: min_forbidden(0) = 0 <= eps
         # slack absorbs round-off when eps sits exactly on the curve; at
         # eps = 0 the achieved value is exact, so feasibility is too
-        slack = 1e-12 if eps > 0 else 0.0
-        while hi - lo > search_tol:
-            mid = 0.5 * (lo + hi)
-            if min_forbidden_probability(mid, resolution, method) <= eps + slack:
-                lo = mid
-            else:
-                hi = mid
+        bound = eps + (1e-12 if eps > 0 else 0.0)
+        lo, _ = roots.bisect(  # lo = 0 is feasible: min_forbidden(0) = 0 <= eps
+            lambda q: min_forbidden_probability(q, resolution, method) <= bound,
+            0.0, 1.0, lambda lo, hi: hi - lo <= SEARCH_TOL)
         curve.append((eps, lo))
     return curve
 
