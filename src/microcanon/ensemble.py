@@ -11,7 +11,7 @@ that enumeration-based oracles can check it bin by bin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -141,7 +141,7 @@ def validate(model: OntModel) -> list[Violation]:
         bad = np.abs(col - 1.0) > PROB_TOL
         for j in np.nonzero(bad)[0]:
             out.append(Violation(f"measurement {m.name}",
-                                 f"column {model.lam.labels[j]} sums to {col[j]!r}",
+                                 f"column {model.lam.labels[j]} sums to {float(col[j])!r}",
                                  abs(float(col[j]) - 1.0)))
     if model.born_targets is not None:
         for pname, per_meas in model.born_targets.items():
@@ -294,8 +294,7 @@ class GasOntModel:
         )
 
 
-def gas_model(spec: ensemble.GasSpec, t_label: str = "T",
-              max_states: int = ensemble.DEFAULT_STATE_CAP) -> GasOntModel:
+def gas_model(spec: ensemble.GasSpec, max_states: int = ensemble.DEFAULT_STATE_CAP) -> GasOntModel:
     """Ontological model of the lattice gas prepared at fixed total energy.
 
     Ontic states are the binning states; mu is multiplicity-proportional
@@ -313,7 +312,7 @@ def gas_model(spec: ensemble.GasSpec, t_label: str = "T",
     # int / int rounds once, so these equal the floats of the exact fractions
     model = OntModel(
         lam=space,
-        preparations=(EpistemicState(name=t_label, mu=tuple(o / total for o in omegas)),),
+        preparations=(EpistemicState(name="T", mu=tuple(o / total for o in omegas)),),
         measurements=(ResponseFunction(
             name="tagged-particle-energy",
             outcomes=outcome_names,

@@ -14,6 +14,7 @@ binary search inverts the curve into precision-versus-overlap form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .ontology import (
 NORM_TOL = 1e-12
 FORBIDDEN_TOL = 1e-12  # Born probability below this counts as an analytic zero
 SEARCH_TOL = 1e-9  # bracket width of the eps -> q_max bisection
+GRID_SWEEPS = 4  # coordinate-descent passes over the response columns, at most
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,13 @@ def pbr_basis() -> MeasurementBasis:
     ))
 
 
+@functools.cache
 def quantum_targets() -> np.ndarray:
-    """Born probabilities, rows = PREP_NAMES, columns = OUTCOME_NAMES."""
+    """Born probabilities, rows = PREP_NAMES, columns = OUTCOME_NAMES; shared, read-only."""
     basis = pbr_basis()
-    return np.array([born_prob(p, basis) for p in product_preparations()])
+    targets = np.array([born_prob(p, basis) for p in product_preparations()])
+    targets.setflags(write=False)
+    return targets
 
 
 SINGLE_LABELS = ("lamA", "lamB", "lamC")
@@ -246,7 +251,7 @@ def _simplex_grid(resolution: int, parts: int) -> np.ndarray:
 
 
 def _minimax_grid(weights: np.ndarray, pairs: list[tuple[int, int]],
-                  resolution: int, sweeps: int = 4) -> MinimaxResult:
+                  resolution: int) -> MinimaxResult:
     """Coordinate descent over per-state response columns on a simplex grid.
 
     Upper-bounds the LP optimum; the gap is at most the grid spacing because
@@ -262,7 +267,7 @@ def _minimax_grid(weights: np.ndarray, pairs: list[tuple[int, int]],
     def pair_probs():
         return np.array([float(weights[p] @ xi[k]) for p, k in pairs])
 
-    for _ in range(sweeps):
+    for _ in range(GRID_SWEEPS):
         changed = False
         for lam in range(n_lam):
             w_lam = weights[ps, lam]

@@ -71,6 +71,13 @@ class TestBasis:
     def test_forbidden_pairs_are_the_diagonal(self):
         assert pbr.forbidden_pairs() == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
+    def test_quantum_targets_computed_once_and_read_only(self):
+        targets = pbr.quantum_targets()
+        assert pbr.quantum_targets() is targets
+        with pytest.raises(ValueError):
+            targets[0, 0] = 1.0
+        assert pbr.forbidden_pairs() == [(0, 0), (1, 1), (2, 2), (3, 3)]
+
 
 class TestOverlapFamily:
     def test_overlap_mass_is_q(self):
