@@ -122,10 +122,8 @@ def solve_total_energy(gas: ContinuumGas) -> float:
     if energy_residual(lo, gas) >= 0:
         # for N <= 2 the residual never goes negative above eps0: the mean
         # energy per particle is below T everywhere, so no physical root
-        raise NoConvergence(
-            f"residual non-negative at bracket start E1={lo} (n={gas.n}); "
-            "no physical root above eps0"
-        )
+        raise NoConvergence(f"residual non-negative at bracket start E1={lo} (n={gas.n}); "
+                            "no physical root above eps0")
     hi = gas.eps0 + 2.0 * gas.n * (gas.t + gas.eps0)  # residual >= eps0 + N(T + eps0) > 0
     lo, hi = roots.bisect(lambda e1: energy_residual(e1, gas) < 0, lo, hi,
                           lambda lo, hi: hi - lo <= E1_RTOL * max(1.0, abs(hi)))

@@ -36,7 +36,6 @@ from .ontology import (
 NORM_TOL = 1e-12
 FORBIDDEN_TOL = 1e-12  # Born probability below this counts as an analytic zero
 SEARCH_TOL = 1e-9  # bracket width of the eps -> q_max bisection
-GRID_SWEEPS = 4  # coordinate-descent passes over the response columns, at most
 
 
 @dataclass(frozen=True)
@@ -193,10 +192,9 @@ class ProductModel:
         return np.array([p.mu for p in self.joint_preparations])
 
 
-def forbidden_pairs(targets: np.ndarray | None = None) -> list[tuple[int, int]]:
+def forbidden_pairs() -> list[tuple[int, int]]:
     """(preparation, outcome) pairs whose Born target is an analytic zero."""
-    if targets is None:
-        targets = quantum_targets()
+    targets = quantum_targets()
     return [(p, k) for p in range(targets.shape[0]) for k in range(targets.shape[1])
             if targets[p, k] < FORBIDDEN_TOL]
 
@@ -267,7 +265,7 @@ def _minimax_grid(weights: np.ndarray, pairs: list[tuple[int, int]],
     def pair_probs():
         return np.array([float(weights[p] @ xi[k]) for p, k in pairs])
 
-    for _ in range(GRID_SWEEPS):
+    for _ in range(4):  # sweeps, stopping early once no column changes
         changed = False
         for lam in range(n_lam):
             w_lam = weights[ps, lam]
@@ -316,7 +314,7 @@ def minimize_forbidden(q: float, resolution: int = 50,
     family = OverlapFamily(q=q)  # validates q's domain
     weights = ProductModel.from_family(family).weights()
     targets = quantum_targets()
-    pairs = forbidden_pairs(targets)
+    pairs = forbidden_pairs()
     if method == "lp":
         result = _minimax_lp(weights, pairs)
         if q == 0.0:

@@ -1,7 +1,5 @@
 """The one bracketed bisection behind every root solve in the package."""
 
-from __future__ import annotations
-
 from collections.abc import Callable
 
 from .errors import NoConvergence
