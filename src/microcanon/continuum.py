@@ -25,7 +25,7 @@ from .errors import DomainError, NoConvergence
 
 # exp argument beyond which the expm1 tail term underflows to zero anyway
 _EXP_CUTOFF = 700.0
-E1_RTOL = 1e-12  # bracket width of the E1 root, relative to max(1, E1)
+E1_RTOL = 1e-12  # bracket width of the E1 root, relative to max(1, upper end)
 
 
 @dataclass(frozen=True)
