@@ -21,7 +21,10 @@ MARBLES = str(FIXTURES / "marbles.json")
 # candidate columns in one array pass; every other command, recorded
 # from the release before one emitter wrote all CSV and JSON output; and
 # the gas fit/solve and pbr scan cases added with them, recorded from the
-# release before the three root solves shared one bisection.
+# release before the three root solves shared one bisection; and the gas
+# measure cases for the SizeLimit exit and for outcome names at delta
+# 1e6 and 0.1, recorded from the release before the gas bridge stopped
+# storing its float model.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
