@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from microcanon import ensemble, ontology
+from microcanon.errors import DegenerateEnergy
 
 
 def main() -> int:
@@ -36,7 +37,7 @@ def main() -> int:
             fit = ensemble.boltzmann_fit(spec)
             best = ensemble.most_probable_binnings(spec)[0]
             gap = max(abs(x - p) for x, p in zip(best.n, fit.predicted)) / n
-        except Exception:  # boundary energies have no finite-beta fit
+        except DegenerateEnergy:  # boundary energies have no finite-beta fit
             gap = float("nan")
         print(f"{n},{len(gm.binnings)},{peak_mass:.6f},{delta:.6g},{gap:.6g}")
     return 0

@@ -82,9 +82,9 @@ def _unlimited_int_digits():
 def _emit_binnings(args, states) -> int:
     """One row per state: omega, entropy (k = 1) and mu = omega over the
     sum of omega across the listed states, from one multiplicity each."""
-    mults = [ensemble.multiplicity(s) for s in states]
-    total = sum(mv.exact for mv in mults)
-    rows = [(s.n, mv.exact, mv.log_omega, mv.exact / total) for s, mv in zip(states, mults)]
+    omegas = [ensemble.multiplicity(s) for s in states]
+    total = sum(omegas)
+    rows = [(s.n, omega, ensemble.entropy(s), omega / total) for s, omega in zip(states, omegas)]
     with _unlimited_int_digits():
         return _emit_records(args, ("binning", "omega", "entropy", "mu"), rows, doc=lambda: [
             {"binning": n, "omega": omega, "log_omega": log_omega, "entropy": log_omega, "mu": mu}
@@ -126,8 +126,7 @@ def cmd_gas_sample(args) -> int:
 def cmd_gas_measure(args) -> int:
     spec = _gas_spec(args)
     gm = ontology.gas_model(spec, max_states=args.max_states)
-    rows = [(o, e, float(p)) for o, e, p in zip(gm.model.measurements[0].outcomes,
-                                                 gm.outcome_energies,
+    rows = [(o, e, float(p)) for o, e, p in zip(gm.outcome_names, gm.outcome_energies,
                                                  gm.outcome_probabilities_exact())]
     return _emit_records(args, ("outcome", "eps", "p"), rows)
 

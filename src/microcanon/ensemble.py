@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import roots
-from .errors import DegenerateEnergy, InfeasibleEnergy, NoConvergence, SizeLimit
+from .errors import DegenerateEnergy, DomainError, InfeasibleEnergy, NoConvergence, SizeLimit
 
 DEFAULT_STATE_CAP = 1_000_000
 BETA_TOL = 1e-14  # bracket width of the reduced beta = beta * delta
@@ -47,6 +47,8 @@ class GasSpec:
             raise ValueError(f"ground offset must be non-negative, got {self.eps0_units}")
         if not self.delta > 0:
             raise ValueError(f"lattice step must be positive, got {self.delta}")
+        if self.delta == math.inf:
+            raise ValueError(f"lattice step must be finite, got {self.delta}")
 
     @property
     def excess_units(self) -> int:
@@ -97,12 +99,6 @@ class BinningState:
 
 
 @dataclass(frozen=True)
-class MultiplicityValue:
-    log_omega: float
-    exact: int
-
-
-@dataclass(frozen=True)
 class BoltzmannFit:
     """Lagrange-multiplier solution n_i = exp(-alpha) * exp(-beta * eps_i)."""
 
@@ -148,28 +144,26 @@ def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> li
     return [BinningState(spec, n) for n in out]
 
 
-def multiplicity(b: BinningState) -> MultiplicityValue:
-    """Omega = N! / prod(n_i!) exactly, as a product of binomials C(rest, n_i),
-    with its log-gamma logarithm."""
-    log_omega = math.lgamma(b.spec.n + 1) - sum(math.lgamma(x + 1) for x in b.n)
-    exact, rest = 1, b.spec.n
+def multiplicity(b: BinningState) -> int:
+    """Omega = N! / prod(n_i!) exactly, as a product of binomials C(rest, n_i)."""
+    omega, rest = 1, b.spec.n
     for x in b.n[:-1]:
-        exact *= math.comb(rest, x)
+        omega *= math.comb(rest, x)
         rest -= x
-    return MultiplicityValue(log_omega=log_omega, exact=exact)
+    return omega
 
 
 def entropy(b: BinningState, k: float = 1.0) -> float:
-    """S = k ln Omega."""
+    """S = k ln Omega, with ln Omega as a log-gamma sum."""
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
-    return k * multiplicity(b).log_omega
+    return k * (math.lgamma(b.spec.n + 1) - sum(math.lgamma(x + 1) for x in b.n))
 
 
 def most_probable_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[BinningState]:
     """All argmax-Omega binning states (exact integer ties), lexicographic order."""
     states = enumerate_binnings(spec, max_states=max_states)
-    omegas = [multiplicity(s).exact for s in states]
+    omegas = [multiplicity(s) for s in states]
     best = max(omegas)
     return [s for s, omega in zip(states, omegas) if omega == best]
 
@@ -224,6 +218,9 @@ def boltzmann_fit(spec: GasSpec, stirling_variant: str = STIRLING_MLNM_MINUS_M) 
     target = excess / spec.n
     b = _solve_reduced_beta(target, spec.m)
     beta = b / spec.delta
+    # every energy sum below is at most N times the top bin energy
+    if not (math.isfinite(beta) and math.isfinite(spec.n * spec.energy(spec.m - 1))):
+        raise DomainError(f"beta or the bin energies overflow at lattice step {spec.delta}")
 
     eps = spec.energies
     # normalization constant via log-sum-exp; the variant shifts alpha only

@@ -167,14 +167,18 @@ def validate(model: OntModel) -> list[Violation]:
     return out
 
 
+def _require_mu_fits(model: OntModel, p: EpistemicState):
+    if len(p.mu) != model.lam.size:
+        raise DimensionMismatch(
+            f"preparation {p.name} has {len(p.mu)} mu entries over {model.lam.size} states")
+
+
 def outcome_distribution(model: OntModel, prep: str, meas: str) -> np.ndarray:
     """P(outcome k) = sum_lam xi[k, lam] mu[lam]."""
     p = model.preparation(prep)
     m = model.measurement(meas)
+    _require_mu_fits(model, p)
     n_lam = model.lam.size
-    if len(p.mu) != n_lam:
-        raise DimensionMismatch(
-            f"preparation {prep} has {len(p.mu)} mu entries over {n_lam} states")
     if len(m.xi) != len(m.outcomes) or any(len(row) != n_lam for row in m.xi):
         raise DimensionMismatch(f"measurement {meas}: xi shape != ({len(m.outcomes)} outcomes, "
                                 f"{n_lam} states)")
@@ -252,10 +256,7 @@ class InformationClass:
 def information_class(model: OntModel) -> InformationClass:
     """Non-minimal (psi-ontic) iff every ontic state serves at most one preparation."""
     for p in model.preparations:
-        if len(p.mu) != model.lam.size:
-            raise DimensionMismatch(
-                f"preparation {p.name} has {len(p.mu)} mu entries over {model.lam.size} states"
-            )
+        _require_mu_fits(model, p)
     per_lambda: dict[str, tuple[str, ...]] = {}
     shared = False
     for i, label in enumerate(model.lam.labels):
@@ -271,13 +272,42 @@ def information_class(model: OntModel) -> InformationClass:
 
 @dataclass(frozen=True)
 class GasOntModel:
-    """Gas-as-ontological-model bridge with exact integer bookkeeping."""
+    """Gas-as-ontological-model bridge: the binning states and their exact Omega.
 
-    model: OntModel
+    Ontic states are the binning states; mu is multiplicity-proportional
+    (microstates equally likely); the single measurement is the energy of a
+    tagged particle, whose chance of landing in bin i is n_i / N by
+    exchangeability.  No Born targets: this model defines the outcome law.
+    """
+
     spec: ensemble.GasSpec
     binnings: tuple[tuple[int, ...], ...]
     omegas: tuple[int, ...]                 # multiplicity per binning state
-    outcome_energies: tuple[float, ...]
+
+    @property
+    def outcome_energies(self) -> tuple[float, ...]:
+        return tuple(self.spec.energy(i) for i in range(self.spec.m))
+
+    @property
+    def outcome_names(self) -> tuple[str, ...]:
+        return tuple(f"eps={e:g}" for e in self.outcome_energies)
+
+    @property
+    def model(self) -> OntModel:
+        """The float OntModel, built on each access: labels are the binnings as
+        JSON lists, mu = Omega / sum Omega and xi[i, lam] = n_i / N."""
+        total, n = sum(self.omegas), self.spec.n
+        # int / int rounds once, so these equal the floats of the exact fractions
+        return OntModel(
+            lam=LambdaSpace(labels=tuple(json.dumps(list(b)) for b in self.binnings)),
+            preparations=(EpistemicState(name="T", mu=tuple(o / total for o in self.omegas)),),
+            measurements=(ResponseFunction(
+                name="tagged-particle-energy",
+                outcomes=self.outcome_names,
+                xi=tuple(tuple(x / n for x in occupancy) for occupancy in zip(*self.binnings)),
+            ),),
+            born_targets=None,
+        )
 
     @property
     def mu_exact(self) -> tuple[Fraction, ...]:
@@ -295,37 +325,11 @@ class GasOntModel:
 
 
 def gas_model(spec: ensemble.GasSpec, max_states: int = ensemble.DEFAULT_STATE_CAP) -> GasOntModel:
-    """Ontological model of the lattice gas prepared at fixed total energy.
-
-    Ontic states are the binning states; mu is multiplicity-proportional
-    (microstates equally likely); the single measurement is the energy of a
-    tagged particle, whose chance of landing in bin i is n_i / N by
-    exchangeability.  No Born targets: this model defines the outcome law.
-    """
+    """Ontological model of the lattice gas prepared at fixed total energy:
+    every binning state with its exact multiplicity."""
     states = ensemble.enumerate_binnings(spec, max_states=max_states)
-    omegas = tuple(ensemble.multiplicity(s).exact for s in states)
-    total = sum(omegas)
-    labels = tuple(json.dumps(list(s.n)) for s in states)
-    energies = tuple(spec.energy(i) for i in range(spec.m))
-    outcome_names = tuple(f"eps={e:g}" for e in energies)
-    space = LambdaSpace(labels=labels)
-    # int / int rounds once, so these equal the floats of the exact fractions
-    model = OntModel(
-        lam=space,
-        preparations=(EpistemicState(name="T", mu=tuple(o / total for o in omegas)),),
-        measurements=(ResponseFunction(
-            name="tagged-particle-energy",
-            outcomes=outcome_names,
-            xi=tuple(tuple(s.n[i] / spec.n for s in states) for i in range(spec.m)),
-        ),),
-        born_targets=None,
-    )
-    return GasOntModel(
-        model=model, spec=spec,
-        binnings=tuple(s.n for s in states),
-        omegas=omegas,
-        outcome_energies=energies,
-    )
+    return GasOntModel(spec=spec, binnings=tuple(s.n for s in states),
+                       omegas=tuple(ensemble.multiplicity(s) for s in states))
 
 
 def peak_approximation_delta(gm: GasOntModel) -> float:

@@ -169,27 +169,15 @@ class OverlapFamily:
         )
 
 
-@dataclass(frozen=True)
-class ProductModel:
-    """Preparation-independent two-system model: joint mu are outer products."""
+JOINT_LABELS = tuple(f"{a}|{b}" for a in SINGLE_LABELS for b in SINGLE_LABELS)
 
-    joint_labels: tuple[str, ...]
-    joint_preparations: tuple[EpistemicState, ...]
 
-    @classmethod
-    def from_family(cls, family: OverlapFamily) -> "ProductModel":
-        labels = tuple(f"{a}|{b}" for a in SINGLE_LABELS for b in SINGLE_LABELS)
-        singles = {"0": family.mu_0, "+": family.mu_plus}
-        preps = []
-        for name in PREP_NAMES:
-            left, right = name.split(",")
-            joint = np.outer(singles[left], singles[right]).ravel()
-            preps.append(EpistemicState(name=name, mu=tuple(float(x) for x in joint)))
-        return cls(joint_labels=labels, joint_preparations=tuple(preps))
-
-    def weights(self) -> np.ndarray:
-        """Joint preparation weights, rows = PREP_NAMES, columns = joint states."""
-        return np.array([p.mu for p in self.joint_preparations])
+def joint_weights(family: OverlapFamily) -> np.ndarray:
+    """Preparation-independent joint mu, rows = PREP_NAMES, columns = JOINT_LABELS:
+    each row is the outer product of the two single-system distributions."""
+    singles = {"0": family.mu_0, "+": family.mu_plus}
+    return np.array([np.outer(singles[left], singles[right]).ravel()
+                     for left, right in (name.split(",") for name in PREP_NAMES)])
 
 
 def forbidden_pairs() -> list[tuple[int, int]]:
@@ -311,8 +299,7 @@ def minimize_forbidden(q: float, resolution: int = 50,
     """As min_forbidden_probability but also returns the witness response."""
     if method == "grid" and resolution < 1:
         raise DomainError(f"grid resolution {resolution} < 1")
-    family = OverlapFamily(q=q)  # validates q's domain
-    weights = ProductModel.from_family(family).weights()
+    weights = joint_weights(OverlapFamily(q=q))  # validates q's domain
     targets = quantum_targets()
     pairs = forbidden_pairs()
     if method == "lp":
@@ -330,13 +317,13 @@ def minimize_forbidden(q: float, resolution: int = 50,
 
 def witness_model(q: float, resolution: int = 50, method: str = "lp") -> OntModel:
     """Joint OntModel carrying the optimizing response and the Born targets."""
-    family = OverlapFamily(q=q)
-    pm = ProductModel.from_family(family)
+    weights = joint_weights(OverlapFamily(q=q))
     result = minimize_forbidden(q, resolution=resolution, method=method)
     targets = quantum_targets()
     return OntModel(
-        lam=LambdaSpace(labels=pm.joint_labels),
-        preparations=pm.joint_preparations,
+        lam=LambdaSpace(labels=JOINT_LABELS),
+        preparations=tuple(EpistemicState(name=name, mu=tuple(row.tolist()))
+                           for name, row in zip(PREP_NAMES, weights)),
         measurements=(ResponseFunction(
             name="entangled-basis",
             outcomes=OUTCOME_NAMES,

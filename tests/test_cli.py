@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from microcanon import cli
+from microcanon import cli, ontology
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -123,6 +123,14 @@ class TestGasCommands:
         doc = json.loads(proc.stdout)
         probs = [row["p"] for row in doc]
         assert probs == pytest.approx([0.5, 1 / 3, 1 / 6], abs=1e-12)
+
+    def test_measure_does_not_build_the_float_model(self, monkeypatch, capsys):
+        def unread(self):
+            raise AssertionError("gas measure built GasOntModel.model")
+        monkeypatch.setattr(ontology.GasOntModel, "model", property(unread))
+        argv = "gas measure --n 6 --m 4 --e 6 --delta 0.1 --format csv"
+        assert cli.run(argv.split()) == 0
+        assert capsys.readouterr() == (GOLDEN[argv]["stdout"], "")
 
     def test_many_bins_do_not_recurse(self):
         proc = run_cli("gas", "enumerate", "--n", "1", "--m", "1500", "--e", "3")

@@ -219,13 +219,17 @@ class TestGasBridge:
         spec = ensemble.GasSpec(n=n, m=m, e_units=e)
         gm = ontology.gas_model(spec)
         states = ensemble.enumerate_binnings(spec)
-        omegas = [ensemble.multiplicity(s).exact for s in states]
+        omegas = [ensemble.multiplicity(s) for s in states]
         mu = [Fraction(o, sum(omegas)) for o in omegas]
         law = tuple(sum((Fraction(s.n[i], n) * w for s, w in zip(states, mu)), Fraction(0))
                     for i in range(m))
         assert gm.outcome_probabilities_exact() == law
         assert gm.mu_exact == tuple(mu)
-        assert gm.model.preparations[0].mu == tuple(float(w) for w in mu)
+        model = gm.model
+        assert model.preparations[0].mu == tuple(float(w) for w in mu)
+        assert model.lam.labels == tuple(json.dumps(list(s.n)) for s in states)
+        assert model.measurements[0].xi == tuple(tuple(s.n[i] / n for s in states)
+                                                 for i in range(m))
         best = max(range(len(mu)), key=lambda j: (mu[j], -j))
         delta = max(abs(float(law[i] - Fraction(states[best].n[i], n))) for i in range(m))
         assert ontology.peak_approximation_delta(gm) == delta

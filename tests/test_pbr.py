@@ -102,7 +102,7 @@ class TestOverlapFamily:
 
     def test_product_weights_are_outer_products(self):
         fam = pbr.OverlapFamily(q=0.4)
-        weights = pbr.ProductModel.from_family(fam).weights()
+        weights = pbr.joint_weights(fam)
         assert weights.shape == (4, 9)
         singles = {"0": fam.mu_0, "+": fam.mu_plus}
         for r, name in enumerate(pbr.PREP_NAMES):
