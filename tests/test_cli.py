@@ -24,7 +24,9 @@ MARBLES = str(FIXTURES / "marbles.json")
 # release before the three root solves shared one bisection; and the gas
 # measure cases for the SizeLimit exit and for outcome names at delta
 # 1e6 and 0.1, recorded from the release before the gas bridge stopped
-# storing its float model.
+# storing its float model; and the gas sample cases at 65,535 to 200,001
+# steps, recorded from the release before the walk drew its random
+# numbers in fixed-size chunks.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
