@@ -10,6 +10,7 @@ that enumeration-based oracles can check it bin by bin.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from .errors import DegenerateEnergy, DomainError, InfeasibleEnergy, NoConvergen
 
 DEFAULT_STATE_CAP = 1_000_000
 BETA_TOL = 1e-14  # bracket width of the reduced beta = beta * delta
+MAX_WALK_STEPS = 10 ** 9  # about 8 minutes of walk at 0.5 us per step
+_CHUNK = 65_536  # random draws per numpy call in the walk
 
 # Stirling variants for ln m! used in the variational solve.
 STIRLING_MLNM = "m_ln_m"
@@ -49,6 +52,12 @@ class GasSpec:
             raise ValueError(f"lattice step must be positive, got {self.delta}")
         if self.delta == math.inf:
             raise ValueError(f"lattice step must be finite, got {self.delta}")
+        try:
+            top = self.energy(self.m - 1)
+        except OverflowError:  # a bin index past the float range
+            top = math.inf
+        if top == math.inf:
+            raise ValueError(f"top bin energy must be finite, got inf at lattice step {self.delta}")
 
     @property
     def excess_units(self) -> int:
@@ -260,9 +269,9 @@ def stirling_compare(spec: GasSpec) -> tuple[BoltzmannFit, BoltzmannFit]:
     )
 
 
-def _initial_microstate(spec: GasSpec) -> np.ndarray:
+def _initial_microstate(spec: GasSpec) -> list[int]:
     """Deterministic feasible per-particle level assignment (0-based levels)."""
-    levels = np.zeros(spec.n, dtype=np.int64)
+    levels = [0] * spec.n
     rem = spec.excess_units
     top = spec.m - 1
     for p in range(spec.n):
@@ -283,32 +292,45 @@ def sample_microstates(spec: GasSpec, steps: int, seed: int) -> dict[tuple[int, 
     symmetric proposal whose stationary distribution is uniform over
     microstates.  The walk state after each of the `steps` proposals is
     tallied by its occupancy vector.  Fixed seed means fixed output.
+    Memory is O(_CHUNK) whatever `steps` is; more than MAX_WALK_STEPS steps
+    raise SizeLimit before any draw.
     """
     spec.require_feasible()
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
+    if steps > MAX_WALK_STEPS:
+        raise SizeLimit(f"more than {MAX_WALK_STEPS} walk steps")
 
     levels = _initial_microstate(spec)
-    occ = np.bincount(levels, minlength=spec.m)
+    occ = [0] * spec.m
+    for level in levels:
+        occ[level] += 1
     top = spec.m - 1
 
-    rng = np.random.default_rng(seed)
-    donors = rng.integers(0, spec.n, size=steps)
-    recips = rng.integers(0, spec.n, size=steps)
+    # Donors are the generator's first `steps` draws and recipients the next
+    # `steps`.  A copy of the generator skips the donors in one discard pass,
+    # so that both streams are read a chunk at a time.
+    chunks = [min(_CHUNK, steps - start) for start in range(0, steps, _CHUNK)]
+    donor_rng = np.random.default_rng(seed)
+    recip_rng = copy.deepcopy(donor_rng)
+    for size in chunks:
+        recip_rng.integers(0, spec.n, size=size)
 
     counts: dict[tuple[int, ...], int] = {}
-    key = tuple(int(x) for x in occ)
-    for d, r in zip(donors, recips):
-        ld, lr = levels[d], levels[r]
-        if d != r and ld > 0 and lr < top:
-            occ[ld] -= 1
-            occ[ld - 1] += 1
-            occ[lr] -= 1
-            occ[lr + 1] += 1
-            levels[d] = ld - 1
-            levels[r] = lr + 1
-            key = tuple(int(x) for x in occ)
-        counts[key] = counts.get(key, 0) + 1
+    key = tuple(occ)
+    for size in chunks:
+        for d, r in zip(donor_rng.integers(0, spec.n, size=size).tolist(),
+                        recip_rng.integers(0, spec.n, size=size).tolist()):
+            ld, lr = levels[d], levels[r]
+            if d != r and ld > 0 and lr < top:
+                occ[ld] -= 1
+                occ[ld - 1] += 1
+                occ[lr] -= 1
+                occ[lr + 1] += 1
+                levels[d] = ld - 1
+                levels[r] = lr + 1
+                key = tuple(occ)
+            counts[key] = counts.get(key, 0) + 1
     return counts
 
 

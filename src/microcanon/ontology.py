@@ -364,8 +364,7 @@ def model_to_dict(model: OntModel) -> dict:
     return doc
 
 
-_NUMBER = (int, float)
-_KINDS = {dict: "an object", list: "a list", str: "a string", _NUMBER: "a number"}
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
 
 
 def _expect(value, where: str, kind):
@@ -392,7 +391,10 @@ def _list_of(value, where: str, kind) -> tuple:
 def _floats(value, where: str) -> tuple[float, ...]:
     # one C-level pass over the entry types; the slow pass only names a bad entry
     if not set(map(type, _expect(value, where, list))) <= {int, float}:
-        _list_of(value, where, _NUMBER)
+        for i, x in enumerate(value):
+            # a JSON boolean is an int to isinstance, but not a number
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise SchemaError(f"{where}[{i}] must be a number, not {type(x).__name__}")
     return tuple(map(float, value))
 
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import roots
 from .errors import DimensionMismatch, DomainError, NormalizationError
@@ -199,6 +198,9 @@ def _minimax_lp(weights: np.ndarray, pairs: list[tuple[int, int]]) -> MinimaxRes
     Variables are the 4 x L response matrix (flattened) plus the bound t;
     columns are constrained to the probability simplex.
     """
+    # imported here: scipy costs about 0.6 s, and no other command needs it
+    from scipy.optimize import linprog
+
     n_out = 4
     n_lam = weights.shape[1]
     n_var = n_out * n_lam + 1

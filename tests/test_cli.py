@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from microcanon import cli, ontology
+from microcanon import cli, ensemble, ontology
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -26,7 +26,9 @@ MARBLES = str(FIXTURES / "marbles.json")
 # 1e6 and 0.1, recorded from the release before the gas bridge stopped
 # storing its float model; and the gas sample cases at 65,535 to 200,001
 # steps, recorded from the release before the walk drew its random
-# numbers in fixed-size chunks.
+# numbers in fixed-size chunks; and the exit-1 gas measure case at
+# delta 1e308, recorded when GasSpec began to reject an infinite top bin
+# energy.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
@@ -110,6 +112,18 @@ class TestGasCommands:
         counts = json.loads(a.stdout)
         assert set(counts) == {"[1, 2, 0]", "[2, 0, 1]"}
         assert sum(counts.values()) == 20000
+
+    def test_walk_length_is_capped_before_any_draw(self, monkeypatch, capsys):
+        def no_draw(seed):
+            raise AssertionError("the walk drew random numbers")
+        monkeypatch.setattr(ensemble.np.random, "default_rng", no_draw)
+        argv = ["gas", "sample", "--n", "3", "--m", "3", "--e", "2",
+                "--steps", str(ensemble.MAX_WALK_STEPS + 1), "--seed", "1"]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "SizeLimit",
+                                   "message": f"more than {ensemble.MAX_WALK_STEPS} walk steps"}
 
     def test_fit_output(self):
         proc = run_cli("gas", "fit", "--n", "60", "--m", "4", "--e", "75",
@@ -215,13 +229,15 @@ class TestOntologyCommands:
     @pytest.mark.parametrize("command", [
         ("validate",), ("check",), ("overlap", "--pair", "A", "B"), ("classify",),
     ], ids=lambda c: c[0])
-    @pytest.mark.parametrize("malformed", ["list-document", "int-mu"])
+    @pytest.mark.parametrize("malformed", ["list-document", "int-mu", "bool-mu"])
     def test_malformed_model_is_a_json_diagnostic(self, tmp_path, command, malformed):
         doc = json.loads(Path(MARBLES).read_text(encoding="utf-8"))
         if malformed == "list-document":
             doc = [doc]
-        else:
+        elif malformed == "int-mu":
             doc["preparations"][0]["mu"] = 5
+        else:
+            doc["preparations"][0]["mu"] = [True, False, False, False]
         model_path = tmp_path / "malformed.json"
         model_path.write_text(json.dumps(doc), encoding="utf-8")
         proc = run_cli("ontology", command[0], str(model_path), *command[1:])
@@ -301,6 +317,24 @@ class TestPbrCommands:
         proc = run_cli("pbr", "cat", "--a", "1", "--b", "1")
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "NormalizationError"
+
+
+def test_only_pbr_commands_load_scipy():
+    # scipy costs about 0.6 s of start-up, and only the no-go LP needs it
+    script = (
+        "import contextlib, io, sys\n"
+        "from microcanon import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run(argv.split()) for argv in sys.argv[1:]]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "gas measure --n 5 --m 4 --e 6",
+         "gas sample --n 5 --m 3 --e 4 --steps 100 --seed 1", f"ontology classify {MARBLES}"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout == "[0, 0, 0] False\n"
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))

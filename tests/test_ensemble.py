@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -206,10 +207,11 @@ class TestBoltzmannFit:
         with pytest.raises(DegenerateEnergy):
             ensemble.boltzmann_fit(ensemble.GasSpec(n=5, m=1, e_units=0))
 
-    @pytest.mark.parametrize("delta", [1e-320, 1e308])
+    @pytest.mark.parametrize("delta", [1e-320, 6e307])
     def test_float_overflow_is_a_domain_error(self, delta):
-        # beta = b / delta overflows at a subnormal step, the bin energies at
-        # a huge one; neither may reach numpy as inf
+        # beta = b / delta overflows at a subnormal step, the energy sums at
+        # a huge one whose top bin energy (1.2e308) is still finite; neither
+        # may reach numpy as inf
         with pytest.raises(DomainError, match="overflow"):
             ensemble.boltzmann_fit(ensemble.GasSpec(n=5, m=3, e_units=4, delta=delta))
 
@@ -300,6 +302,38 @@ class TestSampler:
         with pytest.raises(ValueError):
             ensemble.sample_microstates(spec, steps=0, seed=1)
 
+    def test_walk_length_cap(self):
+        spec = ensemble.GasSpec(n=3, m=3, e_units=2)
+        with pytest.raises(SizeLimit, match=f"more than {ensemble.MAX_WALK_STEPS} walk steps"):
+            ensemble.sample_microstates(spec, steps=ensemble.MAX_WALK_STEPS + 1, seed=1)
+
+    def test_chunked_draws_follow_one_generator(self):
+        # donors are the generator's first `steps` draws and recipients the
+        # next `steps`, whatever the chunk size; replay that on a gas whose
+        # every proposal with distinct particles is accepted
+        spec = ensemble.GasSpec(n=2, m=3, e_units=2)
+        steps = 2 * ensemble._CHUNK + 3
+        draws = np.random.default_rng(5).integers(0, 2, size=2 * steps)
+        levels, want = [2, 0], Counter()
+        for d, r in zip(draws[:steps], draws[steps:]):
+            if d != r and levels[d] > 0 and levels[r] < 2:
+                levels[d] -= 1
+                levels[r] += 1
+            want[tuple(levels.count(i) for i in range(3))] += 1
+        assert ensemble.sample_microstates(spec, steps=steps, seed=5) == want
+
+    def test_walk_memory_does_not_grow_with_steps(self):
+        spec = ensemble.GasSpec(n=18, m=5, e_units=36)
+        peaks = []
+        for steps in (100_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                ensemble.sample_microstates(spec, steps=steps, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 ** 20
+
 
 class TestGasSpecValidation:
     def test_rejects_bad_parameters(self):
@@ -313,6 +347,15 @@ class TestGasSpecValidation:
             ensemble.GasSpec(n=3, m=3, e_units=2, delta=0.0)
         with pytest.raises(ValueError, match="finite"):
             ensemble.GasSpec(n=3, m=3, e_units=2, delta=math.inf)
+
+    def test_rejects_an_infinite_top_bin_energy(self):
+        with pytest.raises(ValueError, match="top bin energy must be finite"):
+            ensemble.GasSpec(n=3, m=3, e_units=2, delta=1e308)
+        with pytest.raises(ValueError, match="top bin energy must be finite"):
+            ensemble.GasSpec(n=3, m=1, e_units=6, delta=1e308, eps0_units=2)
+        with pytest.raises(ValueError, match="top bin energy must be finite"):
+            ensemble.GasSpec(n=3, m=10 ** 400, e_units=2)  # no float holds the bin index
+        assert ensemble.GasSpec(n=3, m=3, e_units=2, delta=8e307).energy(2) == 1.6e308
 
     def test_binning_state_validation(self):
         spec = ensemble.GasSpec(n=3, m=3, e_units=2)
