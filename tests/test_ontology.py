@@ -331,21 +331,21 @@ class TestModelDocument:
         (("preparations", 0, "mu"), 5, "model.preparations[0].mu must be a list, not int"),
         (("preparations", 1, "mu", 2), None,
          "model.preparations[1].mu[2] must be a number, not NoneType"),
-        (("preparations", 0, "mu", 0), True,
-         "model.preparations[0].mu[0] must be a number, not bool"),
         (("preparations", 0, "name"), 7, "model.preparations[0].name must be a string, not int"),
         (("measurements", 0, "xi"), 5, "model.measurements[0].xi must be a list, not int"),
         (("measurements", 0, "xi", 2), 5, "model.measurements[0].xi[2] must be a list, not int"),
         (("measurements", 0, "xi", 0, 1), "0",
          "model.measurements[0].xi[0][1] must be a number, not str"),
-        (("measurements", 0, "xi", 1, 0), False,
-         "model.measurements[0].xi[1][0] must be a number, not bool"),
         (("measurements", 0, "outcomes"), {},
          "model.measurements[0].outcomes must be a list, not dict"),
         (("born_targets",), [], "model.born_targets must be an object, not list"),
         (("born_targets", "A"), 5, "model.born_targets.A must be an object, not int"),
         (("born_targets", "A", "color"), None,
          "model.born_targets.A.color must be a list, not NoneType"),
+        (("preparations", 0, "mu", 0), True,
+         "model.preparations[0].mu[0] must be a number, not bool"),
+        (("measurements", 0, "xi", 1, 0), False,
+         "model.measurements[0].xi[1][0] must be a number, not bool"),
         (("born_targets", "A", "color", 1), True,
          "model.born_targets.A.color[1] must be a number, not bool"),
     ])
