@@ -36,7 +36,7 @@ def main() -> int:
         try:
             fit = ensemble.boltzmann_fit(spec)
             best = ensemble.most_probable_binnings(spec)[0]
-            gap = max(abs(x - p) for x, p in zip(best.n, fit.predicted)) / n
+            gap = max(abs(x - p) for x, p in zip(best, fit.predicted)) / n
         except DegenerateEnergy:  # boundary energies have no finite-beta fit
             gap = float("nan")
         print(f"{n},{len(gm.binnings)},{peak_mass:.6f},{delta:.6g},{gap:.6g}")

@@ -84,7 +84,7 @@ def _emit_binnings(args, states) -> int:
     sum of omega across the listed states, from one multiplicity each."""
     omegas = [ensemble.multiplicity(s) for s in states]
     total = sum(omegas)
-    rows = [(s.n, omega, ensemble.entropy(s), omega / total) for s, omega in zip(states, omegas)]
+    rows = [(s, omega, ensemble.entropy(s), omega / total) for s, omega in zip(states, omegas)]
     with _unlimited_int_digits():
         return _emit_records(args, ("binning", "omega", "entropy", "mu"), rows, doc=lambda: [
             {"binning": n, "omega": omega, "log_omega": log_omega, "entropy": log_omega, "mu": mu}

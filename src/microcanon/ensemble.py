@@ -2,7 +2,7 @@
 
 A gas of N distinguishable particles occupies M energy bins at lattice
 energies eps_i = (eps0_units + i) * delta.  A binning state is an occupancy
-vector {n_i} obeying the particle-number and total-energy constraints; its
+tuple {n_i} obeying the particle-number and total-energy constraints; its
 multiplicity Omega = N! / prod(n_i!) counts the microstates it contains.
 Everything here is exact (integer lattice, arbitrary-precision Omega) so
 that enumeration-based oracles can check it bin by bin.
@@ -21,7 +21,9 @@ from .errors import DegenerateEnergy, DomainError, InfeasibleEnergy, NoConvergen
 
 DEFAULT_STATE_CAP = 1_000_000
 BETA_TOL = 1e-14  # bracket width of the reduced beta = beta * delta
+MAX_BINS = 10_000  # enumeration copies prefixes up to length m, so its cost grows as m^2
 MAX_WALK_STEPS = 10 ** 9  # about 8 minutes of walk at 0.5 us per step
+MAX_WALK_PARTICLES = 10 ** 7  # the walk's per-particle level list, about 80 MB
 _CHUNK = 65_536  # random draws per numpy call in the walk
 
 # Stirling variants for ln m! used in the variational solve.
@@ -89,25 +91,6 @@ class GasSpec:
 
 
 @dataclass(frozen=True)
-class BinningState:
-    """Occupancy vector bound to its GasSpec."""
-
-    spec: GasSpec
-    n: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.n) != self.spec.m:
-            raise ValueError(f"occupancy length {len(self.n)} != m={self.spec.m}")
-        if any(x < 0 for x in self.n):
-            raise ValueError(f"negative occupancy in {self.n}")
-        if sum(self.n) != self.spec.n:
-            raise ValueError(f"occupancies sum to {sum(self.n)}, expected {self.spec.n}")
-        e = sum(ni * (self.spec.eps0_units + i) for i, ni in enumerate(self.n))
-        if e != self.spec.e_units:
-            raise ValueError(f"occupancy energy {e} != e_units={self.spec.e_units}")
-
-
-@dataclass(frozen=True)
 class BoltzmannFit:
     """Lagrange-multiplier solution n_i = exp(-alpha) * exp(-beta * eps_i)."""
 
@@ -117,16 +100,19 @@ class BoltzmannFit:
     stirling_variant: str = STIRLING_MLNM_MINUS_M
 
 
-def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[BinningState]:
+def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
     """All occupancy vectors meeting both constraints, lexicographically.
 
     Raises InfeasibleEnergy if the lattice cannot carry the total energy and
-    SizeLimit if more than `max_states` vectors would be produced.
+    SizeLimit, before any work, for more than MAX_BINS bins, or once more
+    than `max_states` vectors would be produced.
     """
     spec.require_feasible()
+    if spec.m > MAX_BINS:
+        raise SizeLimit(f"more than {MAX_BINS} bins")
     top = spec.m - 1
     if top == 0:
-        return [BinningState(spec, (spec.n,))]
+        return [(spec.n,)]
 
     def occupancies(i: int, rem_n: int, rem_e: int) -> range:
         # n_i that leave bins i+1..top able to carry the rest:
@@ -150,26 +136,26 @@ def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> li
         if len(out) + len(choices) > max_states:
             raise SizeLimit(f"more than {max_states} binning states")
         out.extend(prefix + (ni, rem_n - ni) for ni in choices)
-    return [BinningState(spec, n) for n in out]
+    return out
 
 
-def multiplicity(b: BinningState) -> int:
-    """Omega = N! / prod(n_i!) exactly, as a product of binomials C(rest, n_i)."""
-    omega, rest = 1, b.spec.n
-    for x in b.n[:-1]:
+def multiplicity(n: tuple[int, ...]) -> int:
+    """Omega = N! / prod(n_i!) exactly, N = sum(n), as a product of binomials C(rest, n_i)."""
+    omega, rest = 1, sum(n)
+    for x in n[:-1]:
         omega *= math.comb(rest, x)
         rest -= x
     return omega
 
 
-def entropy(b: BinningState, k: float = 1.0) -> float:
+def entropy(n: tuple[int, ...], k: float = 1.0) -> float:
     """S = k ln Omega, with ln Omega as a log-gamma sum."""
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
-    return k * (math.lgamma(b.spec.n + 1) - sum(math.lgamma(x + 1) for x in b.n))
+    return k * (math.lgamma(sum(n) + 1) - sum(math.lgamma(x + 1) for x in n))
 
 
-def most_probable_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[BinningState]:
+def most_probable_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
     """All argmax-Omega binning states (exact integer ties), lexicographic order."""
     states = enumerate_binnings(spec, max_states=max_states)
     omegas = [multiplicity(s) for s in states]
@@ -293,13 +279,16 @@ def sample_microstates(spec: GasSpec, steps: int, seed: int) -> dict[tuple[int, 
     microstates.  The walk state after each of the `steps` proposals is
     tallied by its occupancy vector.  Fixed seed means fixed output.
     Memory is O(_CHUNK) whatever `steps` is; more than MAX_WALK_STEPS steps
-    raise SizeLimit before any draw.
+    raise SizeLimit before any draw, and more than MAX_WALK_PARTICLES
+    particles before the O(N) level list is built.
     """
     spec.require_feasible()
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     if steps > MAX_WALK_STEPS:
         raise SizeLimit(f"more than {MAX_WALK_STEPS} walk steps")
+    if spec.n > MAX_WALK_PARTICLES:
+        raise SizeLimit(f"more than {MAX_WALK_PARTICLES} walk particles")
 
     levels = _initial_microstate(spec)
     occ = [0] * spec.m

@@ -327,8 +327,8 @@ class GasOntModel:
 def gas_model(spec: ensemble.GasSpec, max_states: int = ensemble.DEFAULT_STATE_CAP) -> GasOntModel:
     """Ontological model of the lattice gas prepared at fixed total energy:
     every binning state with its exact multiplicity."""
-    states = ensemble.enumerate_binnings(spec, max_states=max_states)
-    return GasOntModel(spec=spec, binnings=tuple(s.n for s in states),
+    states = tuple(ensemble.enumerate_binnings(spec, max_states=max_states))
+    return GasOntModel(spec=spec, binnings=states,
                        omegas=tuple(ensemble.multiplicity(s) for s in states))
 
 

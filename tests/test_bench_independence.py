@@ -1,7 +1,10 @@
 """The benchmark's oracles and checks import nothing from microcanon, so
-every expected value they give is computed apart from the code it checks."""
+every expected value they give is computed apart from the code it checks;
+and every span the benchmark's tracer installs names a live function."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,17 @@ def test_detector_sees_every_import_form():
               "from . import oracles\nimport microcanonical\n")
     assert microcanon_imports(source) == ["microcanon", "microcanon.pbr",
                                           "microcanon.ensemble", "microcanon"]
+
+
+def test_every_traced_span_resolves_to_a_callable():
+    # a rename in src/ would otherwise drop the span from the benchmark silently
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.SPANS
+    for path, attr, name in tracing.SPANS:
+        module, _, cls = path.partition(".")
+        owner = importlib.import_module(f"microcanon.{module}")
+        if cls:
+            owner = getattr(owner, cls, None)
+        assert callable(getattr(owner, attr, None)), f"span {name}: microcanon.{path}.{attr}"

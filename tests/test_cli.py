@@ -125,6 +125,26 @@ class TestGasCommands:
         assert json.loads(err) == {"error": "SizeLimit",
                                    "message": f"more than {ensemble.MAX_WALK_STEPS} walk steps"}
 
+    def test_walk_particles_are_capped_before_allocation(self, monkeypatch, capsys):
+        def no_levels(spec):
+            raise AssertionError("the walk allocated its level list")
+        monkeypatch.setattr(ensemble, "_initial_microstate", no_levels)
+        argv = ["gas", "sample", "--n", str(ensemble.MAX_WALK_PARTICLES + 1), "--m", "3",
+                "--e", "2", "--steps", "10", "--seed", "1"]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "SizeLimit", "message": f"more than {ensemble.MAX_WALK_PARTICLES} walk particles"}
+
+    def test_bin_count_is_capped_before_enumeration(self, capsys):
+        argv = ["gas", "enumerate", "--n", "3", "--m", str(ensemble.MAX_BINS + 1), "--e", "2"]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "SizeLimit",
+                                   "message": f"more than {ensemble.MAX_BINS} bins"}
+
     def test_fit_output(self):
         proc = run_cli("gas", "fit", "--n", "60", "--m", "4", "--e", "75",
                        "--format", "json")

@@ -221,17 +221,17 @@ class TestGasBridge:
         states = ensemble.enumerate_binnings(spec)
         omegas = [ensemble.multiplicity(s) for s in states]
         mu = [Fraction(o, sum(omegas)) for o in omegas]
-        law = tuple(sum((Fraction(s.n[i], n) * w for s, w in zip(states, mu)), Fraction(0))
+        law = tuple(sum((Fraction(s[i], n) * w for s, w in zip(states, mu)), Fraction(0))
                     for i in range(m))
         assert gm.outcome_probabilities_exact() == law
         assert gm.mu_exact == tuple(mu)
         model = gm.model
         assert model.preparations[0].mu == tuple(float(w) for w in mu)
-        assert model.lam.labels == tuple(json.dumps(list(s.n)) for s in states)
-        assert model.measurements[0].xi == tuple(tuple(s.n[i] / n for s in states)
+        assert model.lam.labels == tuple(json.dumps(list(s)) for s in states)
+        assert model.measurements[0].xi == tuple(tuple(s[i] / n for s in states)
                                                  for i in range(m))
         best = max(range(len(mu)), key=lambda j: (mu[j], -j))
-        delta = max(abs(float(law[i] - Fraction(states[best].n[i], n))) for i in range(m))
+        delta = max(abs(float(law[i] - Fraction(states[best][i], n))) for i in range(m))
         assert ontology.peak_approximation_delta(gm) == delta
 
     def test_model_floats_match_exact(self):
