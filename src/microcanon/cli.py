@@ -188,26 +188,28 @@ def cmd_pbr_scan(args) -> int:
 
 
 def cmd_pbr_cat(args) -> int:
-    # a model document in either format: there is no table to print
+    # a model document, so JSON only: there is no table to print
     fixture = pbr.cat_fixture(complex(args.a), complex(args.b))
     _emit(args, _json_text(ontology.model_to_dict(fixture.model)))
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, default_format: str = "csv"):
+def _add_common(p: argparse.ArgumentParser, default_format: str = "csv",
+                formats: tuple[str, ...] = ("csv", "json")):
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument("--format", choices=["csv", "json"], default=default_format)
+    p.add_argument("--format", choices=formats, default=default_format)
 
 
-def _add_spec_flags(p: argparse.ArgumentParser):
+def _add_spec_flags(p: argparse.ArgumentParser, state_cap: bool = False):
     p.add_argument("--n", type=int, required=True, help="particle count")
     p.add_argument("--m", type=int, required=True, help="number of energy bins")
     p.add_argument("--e", type=int, required=True, help="total energy in lattice units")
     p.add_argument("--delta", type=float, default=1.0, help="energy per lattice unit")
     p.add_argument("--eps0-units", type=int, default=0, dest="eps0_units",
                    help="ground-state offset in lattice units")
-    p.add_argument("--max-states", type=int, default=ensemble.DEFAULT_STATE_CAP,
-                   dest="max_states")
+    if state_cap:  # only the commands that enumerate binnings read it
+        p.add_argument("--max-states", type=int, default=ensemble.DEFAULT_STATE_CAP,
+                       dest="max_states")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     gas_sub = gas.add_subparsers(dest="command", required=True)
 
     p = gas_sub.add_parser("enumerate", help="all binning states with omega/entropy/mu")
-    _add_spec_flags(p); _add_common(p); p.set_defaults(func=cmd_gas_enumerate)
+    _add_spec_flags(p, state_cap=True); _add_common(p); p.set_defaults(func=cmd_gas_enumerate)
 
     p = gas_sub.add_parser("argmax", help="most probable binning states")
-    _add_spec_flags(p); _add_common(p); p.set_defaults(func=cmd_gas_argmax)
+    _add_spec_flags(p, state_cap=True); _add_common(p); p.set_defaults(func=cmd_gas_argmax)
 
     p = gas_sub.add_parser("fit", help="Lagrange-multiplier occupancy fit")
     _add_spec_flags(p); _add_common(p); p.set_defaults(func=cmd_gas_fit)
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, default_format="json"); p.set_defaults(func=cmd_gas_sample)
 
     p = gas_sub.add_parser("measure", help="tagged-particle energy distribution")
-    _add_spec_flags(p); _add_common(p); p.set_defaults(func=cmd_gas_measure)
+    _add_spec_flags(p, state_cap=True); _add_common(p); p.set_defaults(func=cmd_gas_measure)
 
     ont = sub.add_parser("ontology", help="finite ontological models")
     ont_sub = ont.add_subparsers(dest="command", required=True)
@@ -283,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = pbr_sub.add_parser("cat", help="disjoint-support cat/atom model as JSON")
     p.add_argument("--a", required=True, help="alive amplitude, e.g. 0.6 or 0.6+0j")
     p.add_argument("--b", required=True, help="dead amplitude")
-    _add_common(p, default_format="json"); p.set_defaults(func=cmd_pbr_cat)
+    _add_common(p, default_format="json", formats=("json",)); p.set_defaults(func=cmd_pbr_cat)
 
     return top
 

@@ -37,10 +37,10 @@ class ContinuumGas:
     eps0: float = 0.0
 
     def __post_init__(self):
-        if not self.n > 0:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if not self.t > 0:
-            raise ValueError(f"t must be positive, got {self.t}")
+        if not 0 < self.n < math.inf:
+            raise ValueError(f"n must be positive and finite, got {self.n}")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"t must be positive and finite, got {self.t}")
         if self.eps0 < 0:
             raise ValueError(f"eps0 must be non-negative, got {self.eps0}")
 

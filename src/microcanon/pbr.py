@@ -18,11 +18,12 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import roots
-from .errors import DimensionMismatch, DomainError, NormalizationError
+from .errors import DimensionMismatch, DomainError, NormalizationError, SizeLimit
 from .ontology import (
     EpistemicState,
     LambdaSpace,
@@ -35,6 +36,7 @@ from .ontology import (
 NORM_TOL = 1e-12
 FORBIDDEN_TOL = 1e-12  # Born probability below this counts as an analytic zero
 SEARCH_TOL = 1e-9  # bracket width of the eps -> q_max bisection
+MAX_GRID_RESOLUTION = 100  # C(r + 3, 3) grid columns: 0.5 s per q at 100, 6.4 s at 200
 
 
 @dataclass(frozen=True)
@@ -171,12 +173,18 @@ class OverlapFamily:
 JOINT_LABELS = tuple(f"{a}|{b}" for a in SINGLE_LABELS for b in SINGLE_LABELS)
 
 
-def joint_weights(family: OverlapFamily) -> np.ndarray:
+def _exact_joint_weights(family: OverlapFamily) -> np.ndarray:
     """Preparation-independent joint mu, rows = PREP_NAMES, columns = JOINT_LABELS:
-    each row is the outer product of the two single-system distributions."""
+    each row is the outer product of the two single-system distributions, in
+    exact Fractions."""
     singles = {"0": family.mu_0, "+": family.mu_plus}
-    return np.array([np.outer(singles[left], singles[right]).ravel()
+    return np.array([[Fraction(a) * Fraction(b) for a in singles[left] for b in singles[right]]
                      for left, right in (name.split(",") for name in PREP_NAMES)])
+
+
+def joint_weights(family: OverlapFamily) -> np.ndarray:
+    """The joint mu of _exact_joint_weights, each entry rounded to a float."""
+    return _exact_joint_weights(family).astype(float)
 
 
 def forbidden_pairs() -> list[tuple[int, int]]:
@@ -193,40 +201,31 @@ class MinimaxResult:
 
 
 def _minimax_lp(weights: np.ndarray, pairs: list[tuple[int, int]]) -> MinimaxResult:
-    """Exact LP: minimize the largest forbidden-outcome probability.
+    """Exact LP optimum: minimize the largest forbidden-outcome probability.
 
-    Variables are the 4 x L response matrix (flattened) plus the bound t;
-    columns are constrained to the probability simplex.
+    Outcome k is charged c[k, lam] = max weights[p, lam] over its forbidden
+    pairs (p, k).  A joint state with an uncharged outcome puts its whole
+    response column there at no cost.  A state charged by every outcome then
+    carries every forbidden probability alone, so its best column is
+    xi[k] proportional to 1 / c[k], and the optimum is 1 / sum_k 1 / c[k] in
+    Fractions.  Two or more such states share the constraints: DomainError.
     """
-    # imported here: scipy costs about 0.6 s, and no other command needs it
-    from scipy.optimize import linprog
-
-    n_out = 4
     n_lam = weights.shape[1]
-    n_var = n_out * n_lam + 1
-    a_ub = np.zeros((len(pairs), n_var))
-    for row, (p, k) in enumerate(pairs):
-        a_ub[row, k * n_lam:(k + 1) * n_lam] = weights[p]
-    a_ub[:, -1] = -1.0
-    # one row per state: its outcome column sums to one (t has no weight)
-    a_eq = np.hstack([np.tile(np.eye(n_lam), n_out), np.zeros((n_lam, 1))])
-    c = np.zeros(n_var)
-    c[-1] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(pairs)),
-                  A_eq=a_eq, b_eq=np.ones(n_lam),
-                  bounds=[(0.0, 1.0)] * (n_out * n_lam) + [(0.0, None)],
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"LP failed: {res.message}")
-    # project the solver output back onto exact column simplices and
-    # recompute the objective there: the reported value is then achieved by
-    # a genuinely feasible response, never below the true minimum by solver
-    # round-off (which matters when the optimum is smaller than the solver
-    # tolerance)
-    xi = np.clip(res.x[:-1].reshape(n_out, n_lam), 0.0, None)
-    xi /= xi.sum(axis=0, keepdims=True)
-    value = max(float(weights[p] @ xi[k]) for p, k in pairs)
-    return MinimaxResult(value=value, xi=xi)
+    columns = [[max((Fraction(weights[p, lam]) for p, j in pairs if j == k), default=0)
+                for k in range(4)] for lam in range(n_lam)]
+    full = [lam for lam, col in enumerate(columns) if 0 not in col]
+    if len(full) > 1:
+        raise DomainError(f"{len(full)} joint states are charged by every outcome")
+    xi = np.zeros((4, n_lam))
+    value = Fraction(0)
+    for lam, col in enumerate(columns):
+        if lam in full:
+            inverse = [1 / c for c in col]
+            value = 1 / sum(inverse)
+            xi[:, lam] = [float(x * value) for x in inverse]
+        else:
+            xi[col.index(0), lam] = 1.0
+    return MinimaxResult(value=float(value), xi=xi)
 
 
 def _simplex_grid(resolution: int, parts: int) -> np.ndarray:
@@ -301,7 +300,10 @@ def minimize_forbidden(q: float, resolution: int = 50,
     """As min_forbidden_probability but also returns the witness response."""
     if method == "grid" and resolution < 1:
         raise DomainError(f"grid resolution {resolution} < 1")
-    weights = joint_weights(OverlapFamily(q=q))  # validates q's domain
+    if method == "grid" and resolution > MAX_GRID_RESOLUTION:
+        raise SizeLimit(f"grid resolution {resolution} > {MAX_GRID_RESOLUTION}")
+    # exact weights: the LP value is then rounded once, from the exact optimum
+    weights = _exact_joint_weights(OverlapFamily(q=q))  # validates q's domain
     targets = quantum_targets()
     pairs = forbidden_pairs()
     if method == "lp":
@@ -313,7 +315,7 @@ def minimize_forbidden(q: float, resolution: int = 50,
             result = MinimaxResult(value=result.value, xi=xi)
         return result
     if method == "grid":
-        return _minimax_grid(weights, pairs, resolution)
+        return _minimax_grid(weights.astype(float), pairs, resolution)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -355,11 +357,8 @@ def epsilon_overlap_tradeoff(eps_grid: list[float], resolution: int = 50,
         if at_full_overlap <= eps:
             curve.append((eps, 1.0))
             continue
-        # slack absorbs round-off when eps sits exactly on the curve; at
-        # eps = 0 the achieved value is exact, so feasibility is too
-        bound = eps + (1e-12 if eps > 0 else 0.0)
         lo, _ = roots.bisect(  # lo = 0 is feasible: min_forbidden(0) = 0 <= eps
-            lambda q: min_forbidden_probability(q, resolution, method) <= bound,
+            lambda q: min_forbidden_probability(q, resolution, method) <= eps,
             0.0, 1.0, lambda lo, hi: hi - lo <= SEARCH_TOL)
         curve.append((eps, lo))
     return curve

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from microcanon import cli, ensemble, ontology
+from microcanon import cli, ensemble, ontology, pbr
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -28,7 +28,8 @@ MARBLES = str(FIXTURES / "marbles.json")
 # steps, recorded from the release before the walk drew its random
 # numbers in fixed-size chunks; and the exit-1 gas measure case at
 # delta 1e308, recorded when GasSpec began to reject an infinite top bin
-# energy.
+# energy; and the exit-2 pbr cat --format csv case, re-recorded when
+# pbr cat stopped accepting a format it ignored.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
@@ -338,9 +339,38 @@ class TestPbrCommands:
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "NormalizationError"
 
+    @pytest.mark.parametrize("command", ["demo", "scan"])
+    def test_grid_resolution_is_capped_before_the_grid(self, monkeypatch, capsys, command):
+        def no_grid(resolution, parts):
+            raise AssertionError("the grid descent built its candidates")
+        monkeypatch.setattr(pbr, "_simplex_grid", no_grid)
+        argv = ["pbr", command, "--method", "grid",
+                "--resolution", str(pbr.MAX_GRID_RESOLUTION + 1)]
+        argv += ["--q-grid", "0.5"] if command == "demo" else ["--eps-grid", "0.1"]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "SizeLimit",
+            "message": f"grid resolution {pbr.MAX_GRID_RESOLUTION + 1} > {pbr.MAX_GRID_RESOLUTION}"}
 
-def test_only_pbr_commands_load_scipy():
-    # scipy costs about 0.6 s of start-up, and only the no-go LP needs it
+
+
+@pytest.mark.parametrize("argv", [
+    ("gas", "fit", "--n", "3", "--m", "3", "--e", "2", "--max-states", "5"),
+    ("gas", "sample", "--n", "3", "--m", "3", "--e", "2", "--steps", "10", "--seed", "1",
+     "--max-states", "5"),
+    ("pbr", "cat", "--a", "0.6", "--b", "0.8", "--format", "csv"),
+])
+def test_options_a_command_would_ignore_are_usage_errors(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr
+
+def test_no_command_loads_scipy():
+    # scipy costs about 0.6 s of start-up and is a test-only dependency
     script = (
         "import contextlib, io, sys\n"
         "from microcanon import cli\n"
@@ -350,17 +380,27 @@ def test_only_pbr_commands_load_scipy():
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, "gas measure --n 5 --m 4 --e 6",
-         "gas sample --n 5 --m 3 --e 4 --steps 100 --seed 1", f"ontology classify {MARBLES}"],
+         "gas sample --n 5 --m 3 --e 4 --steps 100 --seed 1", f"ontology classify {MARBLES}",
+         "pbr demo", "pbr scan --eps-grid 0,0.01,0.3",
+         "pbr demo --method grid --resolution 8 --q-grid 0.5", "pbr cat --a 0.6 --b 0.8"],
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.stdout == "[0, 0, 0] False\n"
+    assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0] False\n"
     assert proc.stderr == ""
+
+
+def run_code(argv: list[str]) -> int:
+    """cli.run's exit code, or the code of the SystemExit a usage error raises."""
+    try:
+        return cli.run(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_gas_output_is_golden(argv, capsys):
     want = GOLDEN[argv]
-    assert cli.run([a.replace("{repo}", str(ROOT)) for a in argv.split()]) == want["code"]
+    assert run_code([a.replace("{repo}", str(ROOT)) for a in argv.split()]) == want["code"]
     out, err = capsys.readouterr()
     assert out == want["stdout"]
     assert err == want["stderr"]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from microcanon import cli
+from microcanon import cli, pbr
 
 
 def run_captured(argv: list[str]) -> tuple[int, str]:
@@ -110,4 +110,45 @@ def gas_argv(draw):
 @settings(max_examples=150, deadline=None)
 def test_gas_argv_exits_cleanly(argv):
     code, err = run_captured(argv)
+    assert_clean_exit(code, err)
+
+
+GRID_ITEMS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-0.1", "1.5", "", " ", "0", "1",
+                                        "1e-20", "0.25", "x"]),
+                       st.floats(min_value=0.0, max_value=1.0).map(repr))
+# every resolution up to 60 (the grid descent's cost grows as C(r + 3, 3)),
+# and one past the cap
+RESOLUTIONS = st.one_of(st.integers(-1, 60), st.just(pbr.MAX_GRID_RESOLUTION + 1))
+
+
+@st.composite
+def pbr_argv(draw):
+    command = draw(st.sampled_from(["demo", "scan"]))
+    # unsorted, repeated and empty items included
+    items = draw(st.lists(GRID_ITEMS, max_size=4 if command == "demo" else 2))
+    flag = "--q-grid" if command == "demo" else "--eps-grid"
+    return ["pbr", command, flag + "=" + ",".join(items),
+            "--method", draw(st.sampled_from(["lp", "grid"])),
+            "--resolution", str(draw(RESOLUTIONS)),
+            "--format", draw(st.sampled_from(["csv", "json"]))]
+
+
+@given(argv=pbr_argv())
+@settings(max_examples=100, deadline=None)
+def test_pbr_argv_exits_cleanly(argv):
+    code, err = run_captured(argv)
+    assert_clean_exit(code, err)
+
+
+SOLVE_NUMBERS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-320", "1",
+                                           "1e308", "1000"]),
+                          st.floats().map(repr))
+
+
+@given(n=SOLVE_NUMBERS, t=SOLVE_NUMBERS, eps0=SOLVE_NUMBERS, k=SOLVE_NUMBERS,
+       fmt=st.sampled_from(["csv", "json"]))
+@settings(max_examples=150, deadline=None)
+def test_gas_solve_argv_exits_cleanly(n, t, eps0, k, fmt):
+    code, err = run_captured(["gas", "solve", f"--n={n}", f"--t={t}", f"--eps0={eps0}",
+                              f"--k={k}", "--format", fmt])
     assert_clean_exit(code, err)

@@ -73,6 +73,12 @@ class TestDensity:
         with pytest.raises(ValueError):
             continuum.ContinuumGas(n=1.0, t=1.0, eps0=-1.0)
 
+    @pytest.mark.parametrize("n, t", [(math.inf, 1.0), (1e-320, math.inf), (1.0, math.nan)])
+    def test_infinite_parameters_rejected(self, n, t):
+        # t = inf once reached expm1(0) = 0 in the residual: a ZeroDivisionError
+        with pytest.raises(ValueError, match="positive and finite"):
+            continuum.ContinuumGas(n=n, t=t)
+
 
 class TestResidual:
     def test_matches_naive_formula(self):

@@ -1,18 +1,59 @@
 """Entangled-basis no-go bound for overlapping preparation distributions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from microcanon import ontology, pbr
 from microcanon.errors import (
     DimensionMismatch,
     DomainError,
     NormalizationError,
+    SizeLimit,
 )
+
+
+def highs_minimax(weights, pairs):
+    """The minimax LP solved in floats by scipy's HiGHS: an independent
+    oracle for pbr._minimax_lp.  Variables are the 4 x L response matrix
+    (flattened) and the bound t; each column lies on the simplex."""
+    n_out, n_lam = 4, weights.shape[1]
+    n_var = n_out * n_lam + 1
+    a_ub = np.zeros((len(pairs), n_var))
+    for row, (p, k) in enumerate(pairs):
+        a_ub[row, k * n_lam:(k + 1) * n_lam] = weights[p]
+    a_ub[:, -1] = -1.0
+    a_eq = np.hstack([np.tile(np.eye(n_lam), n_out), np.zeros((n_lam, 1))])
+    c = np.zeros(n_var)
+    c[-1] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(pairs)), A_eq=a_eq, b_eq=np.ones(n_lam),
+                  bounds=[(0.0, 1.0)] * (n_out * n_lam) + [(0.0, None)], method="highs")
+    assert res.success, res.message
+    return res.fun
+
+
+def assert_achieves(result, weights, pairs):
+    """xi is column-stochastic and its worst forbidden probability is the value."""
+    assert np.all(result.xi >= 0.0)
+    assert np.allclose(result.xi.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+    worst = max(float(weights[p] @ result.xi[k]) for p, k in pairs)
+    assert worst == pytest.approx(result.value, rel=1e-12, abs=1e-300)
+
+
+def one_fully_charged(rng, n_lam):
+    """Seeded 4 x n_lam weights (rows on the simplex) in which only the last
+    joint state is charged by every outcome, with unequal charges; every
+    other state leaves one outcome uncharged."""
+    weights = rng.random((4, n_lam))
+    for lam in range(n_lam - 1):
+        weights[rng.integers(4), lam] = 0.0
+    weights[:, -1] = rng.uniform(0.05, 1.0, size=4)
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 class TestKets:
@@ -148,6 +189,48 @@ class TestMinimax:
         with pytest.raises(ValueError):
             pbr.min_forbidden_probability(0.5, method="annealing")
 
+    @given(st.floats(min_value=0.0, max_value=1.0))
+    # q * q is subnormal there, and rounding it before the division by 4
+    # would round twice: 2e-323 instead of 1.5e-323
+    @example(8.193333555969966e-162)
+    @settings(max_examples=300, deadline=None)
+    def test_value_is_the_correctly_rounded_quarter_square(self, q):
+        assert pbr.min_forbidden_probability(q) == float(Fraction(q) ** 2 / 4)
+
+    @pytest.mark.parametrize("q", [0.0, 1e-6, 0.05, 0.123, 0.37, 0.5, 0.731, 0.999, 1.0])
+    def test_family_value_agrees_with_highs(self, q):
+        weights = pbr.joint_weights(pbr.OverlapFamily(q=q))
+        pairs = pbr.forbidden_pairs()
+        result = pbr._minimax_lp(weights, pairs)
+        assert result.value == pytest.approx(highs_minimax(weights, pairs), abs=1e-9)
+        assert_achieves(result, weights, pairs)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_fully_charged_state_agrees_with_highs(self, seed):
+        rng = np.random.default_rng(seed)
+        weights = one_fully_charged(rng, n_lam=int(rng.integers(1, 10)))
+        pairs = pbr.forbidden_pairs()
+        result = pbr._minimax_lp(weights, pairs)
+        assert len(set(weights[:, -1])) == 4
+        assert result.value > 0.0
+        assert result.value == pytest.approx(highs_minimax(weights, pairs), abs=1e-9)
+        assert_achieves(result, weights, pairs)
+
+    def test_two_fully_charged_states_are_a_domain_error(self):
+        weights = np.full((4, 3), 1.0 / 3)
+        weights[0, 0] = 0.0
+        weights[0, 1:] = 0.5
+        with pytest.raises(DomainError):
+            pbr._minimax_lp(weights, pbr.forbidden_pairs())
+
+    def test_grid_resolution_cap(self):
+        assert pbr.MAX_GRID_RESOLUTION > 60
+        with pytest.raises(SizeLimit):
+            pbr.min_forbidden_probability(0.5, resolution=pbr.MAX_GRID_RESOLUTION + 1,
+                                          method="grid")
+        # the LP ignores the resolution
+        assert pbr.min_forbidden_probability(0.5, resolution=10 ** 9) == 0.0625
+
 
 class TestWitnessModel:
     def test_disjoint_case_reproduces_quantum_table(self):
@@ -185,15 +268,18 @@ class TestTradeoff:
     def test_passes_through_origin_and_monotone(self):
         assert pbr.SEARCH_TOL == 1e-9
         curve = pbr.epsilon_overlap_tradeoff(
-            [0.0, 0.001, 0.005, 0.01, 0.0625, 0.1, 0.24, 0.25, 0.3], method="lp")
+            [0.0, 1e-20, 1e-14, 0.001, 0.005, 0.01, 0.037801, 0.0625, 0.1, 0.24, 0.25, 0.3],
+            method="lp")
         assert curve[0] == (0.0, 0.0)
         qs = [q for _, q in curve]
         for a, b in zip(qs, qs[1:]):
             assert b >= a
         # min_forbidden(q) = q^2/4 inverts to q_max(eps) = min(1, 2 sqrt(eps)),
-        # which the bisection brackets to within its search tolerance
+        # which the bisection brackets to within its search tolerance; q_max
+        # is the bracket end whose overlap still meets eps
         for eps, q in curve:
             assert abs(q - min(1.0, 2.0 * math.sqrt(eps))) <= pbr.SEARCH_TOL
+            assert pbr.min_forbidden_probability(q) <= eps
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
