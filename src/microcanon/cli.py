@@ -125,9 +125,9 @@ def cmd_gas_sample(args) -> int:
 
 def cmd_gas_measure(args) -> int:
     spec = _gas_spec(args)
-    gm = ontology.gas_model(spec, max_states=args.max_states)
-    rows = [(o, e, float(p)) for o, e, p in zip(gm.outcome_names, gm.outcome_energies,
-                                                 gm.outcome_probabilities_exact())]
+    law = ensemble.tagged_law(spec, max_states=args.max_states)
+    rows = [(name, spec.energy(i), float(p))
+            for i, (name, p) in enumerate(zip(ontology.tagged_outcome_names(spec), law))]
     return _emit_records(args, ("outcome", "eps", "p"), rows)
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import copy
 import math
+from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,7 +23,8 @@ from .errors import DegenerateEnergy, DomainError, InfeasibleEnergy, NoConvergen
 
 DEFAULT_STATE_CAP = 1_000_000
 BETA_TOL = 1e-14  # bracket width of the reduced beta = beta * delta
-MAX_BINS = 10_000  # enumeration copies prefixes up to length m, so its cost grows as m^2
+MAX_BINS = 10_000  # the walk over bins keeps a stack m deep and builds m-tuples
+MAX_EXACT_PARTICLES = 20_000  # counting core; gas measure at N = 2e4, m = 3, E = N takes 0.4 s
 MAX_WALK_STEPS = 10 ** 9  # about 8 minutes of walk at 0.5 us per step
 MAX_WALK_PARTICLES = 10 ** 7  # the walk's per-particle level list, about 80 MB
 _CHUNK = 65_536  # random draws per numpy call in the walk
@@ -100,42 +103,132 @@ class BoltzmannFit:
     stirling_variant: str = STIRLING_MLNM_MINUS_M
 
 
-def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
-    """All occupancy vectors meeting both constraints, lexicographically.
+def _sole_tail(top: int, i: int, rem_n: int, rem_e: int) -> tuple[int, ...] | None:
+    """Occupancies of bins i..top when rem_n particles with excess rem_e fit
+    them in one way only: at most two bins, at most one particle, or all
+    particles in bin i or in bin top.  Otherwise None."""
+    span = top - i
+    if span == 0:
+        return (rem_n,)
+    if span == 1 or rem_e in (i * rem_n, top * rem_n):
+        high = (rem_e - i * rem_n) // span          # particles in bin top
+        return (rem_n - high,) + (0,) * (span - 1) + (high,)
+    if rem_n == 1:
+        return (0,) * (rem_e - i) + (1,) + (0,) * (top - rem_e)
+    return None
 
-    Raises InfeasibleEnergy if the lattice cannot carry the total energy and
-    SizeLimit, before any work, for more than MAX_BINS bins, or once more
-    than `max_states` vectors would be produced.
+
+def _sole_binning(spec: GasSpec) -> tuple[int, ...] | None:
+    """The one binning of a feasible spec with m <= 2, N = 1 or its excess at either end, else None."""
+    return _sole_tail(spec.m - 1, 0, spec.n, spec.excess_units)
+
+
+def _occupancies(top: int, i: int, rem_n: int, rem_e: int) -> range:
+    """n_i that leave bins i+1..top able to carry the rest.
+
+    (i+1) * rest_n <= rest_e <= top * rest_n, so every branch yields states.
+    """
+    return range(max(0, (i + 1) * rem_n - rem_e),
+                 min(rem_n, (top * rem_n - rem_e) // (top - i)) + 1)
+
+
+def _last_free_ranges(spec: GasSpec):
+    """Yield (prefix, low, mid, choices) for m >= 3, lexicographically.
+
+    Each k in choices completes the prefix (n_0 .. n_{m-4}) to the binning
+    prefix + (k, mid - 2k, low + k): n_{m-3} = k fixes the last two bins by
+    the two constraints.  The walk is a stack of range iterators, O(m)
+    memory whatever the count.  A node whose remaining bins admit one
+    occupancy only (_sole_tail) is yielded as that one binning, not
+    descended.  The prefix list is live and changes after the next step.
+    """
+    top, last = spec.m - 1, spec.m - 3
+
+    def frontier(rem_n: int, rem_e: int):
+        return (rem_e - (last + 1) * rem_n, (last + 2) * rem_n - rem_e,
+                _occupancies(top, last, rem_n, rem_e))
+
+    prefix: list[int] = []
+    if last == 0:
+        yield (prefix, *frontier(spec.n, spec.excess_units))
+        return
+    rems = [(spec.n, spec.excess_units)]
+    stack = [iter(_occupancies(top, 0, spec.n, spec.excess_units))]
+    while stack:
+        i = len(stack) - 1
+        ni = next(stack[i], None)
+        if ni is None:
+            stack.pop()
+            rems.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        rem_n, rem_e = rems[i][0] - ni, rems[i][1] - i * ni
+        prefix.append(ni)
+        rest = _sole_tail(top, i + 1, rem_n, rem_e) if i + 1 < last else None
+        if rest is not None:
+            k, n_mid, n_top = rest[-3:]
+            prefix.extend(rest[:-3])
+            yield prefix, n_top - k, n_mid + 2 * k, range(k, k + 1)
+            del prefix[i:]
+        elif i + 1 == last:
+            yield (prefix, *frontier(rem_n, rem_e))
+            prefix.pop()
+        else:
+            rems.append((rem_n, rem_e))
+            stack.append(iter(_occupancies(top, i + 1, rem_n, rem_e)))
+
+
+def _count_binnings(spec: GasSpec, cap: int) -> int:
+    """Number of binnings, counted only until it passes `cap`."""
+    if _sole_binning(spec) is not None:
+        return 1
+    count = 0
+    for _, _, _, choices in _last_free_ranges(spec):
+        count += len(choices)
+        if count > cap:
+            break
+    return count
+
+
+def _require_countable(spec: GasSpec, max_states: int):
+    """The counting core's guards, in order, all before a binning is built.
+
+    InfeasibleEnergy, then SizeLimit past MAX_BINS bins, past `max_states`
+    binnings and past MAX_EXACT_PARTICLES particles.  The binning cap needs
+    no count when C(n+m-1, m-1), the number of occupancy vectors with the
+    energy ignored, is within it; the running C(n+k, k) grows with k, so
+    its loop stops at the first value past the cap.
     """
     spec.require_feasible()
     if spec.m > MAX_BINS:
         raise SizeLimit(f"more than {MAX_BINS} bins")
-    top = spec.m - 1
-    if top == 0:
-        return [(spec.n,)]
+    vectors = 1
+    for k in range(1, spec.m):
+        vectors = vectors * (spec.n + k) // k
+        if vectors > max_states:
+            break
+    if vectors > max_states and _count_binnings(spec, max_states) > max_states:
+        raise SizeLimit(f"more than {max_states} binning states")
+    if spec.n > MAX_EXACT_PARTICLES:
+        raise SizeLimit(f"more than {MAX_EXACT_PARTICLES} particles")
 
-    def occupancies(i: int, rem_n: int, rem_e: int) -> range:
-        # n_i that leave bins i+1..top able to carry the rest:
-        # (i+1) * rest_n <= rest_e <= top * rest_n, so every branch yields states
-        return range(max(0, (i + 1) * rem_n - rem_e),
-                     min(rem_n, (top * rem_n - rem_e) // (top - i)) + 1)
 
+def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
+    """All occupancy vectors meeting both constraints, lexicographically.
+
+    Raises InfeasibleEnergy if the lattice cannot carry the total energy and
+    SizeLimit, before any vector is built, by the guards of
+    _require_countable.
+    """
+    _require_countable(spec, max_states)
+    sole = _sole_binning(spec)
+    if sole is not None:
+        return [sole]
     out: list[tuple[int, ...]] = []
-    # Depth-first over n_0 .. n_{top-2} with an explicit stack, since m can
-    # exceed the recursion limit; children are pushed in reverse so that
-    # ascending occupancies come off first and the output is lexicographic.
-    stack: list[tuple[tuple[int, ...], int, int]] = [((), spec.n, spec.excess_units)]
-    while stack:
-        prefix, rem_n, rem_e = stack.pop()
-        i = len(prefix)
-        choices = occupancies(i, rem_n, rem_e)
-        if i + 1 < top:
-            stack.extend((prefix + (ni,), rem_n - ni, rem_e - i * ni) for ni in reversed(choices))
-            continue
-        # bin top-1 takes each admissible occupancy and the last bin the rest
-        if len(out) + len(choices) > max_states:
-            raise SizeLimit(f"more than {max_states} binning states")
-        out.extend(prefix + (ni, rem_n - ni) for ni in choices)
+    for prefix, low, mid, choices in _last_free_ranges(spec):
+        head = tuple(prefix)
+        out.extend(head + (k, mid - 2 * k, low + k) for k in choices)
     return out
 
 
@@ -155,12 +248,156 @@ def entropy(n: tuple[int, ...], k: float = 1.0) -> float:
     return k * (math.lgamma(sum(n) + 1) - sum(math.lgamma(x + 1) for x in n))
 
 
+def _tagged_counts(spec: GasSpec) -> list[int]:
+    """[x^(E-i)] G^(N-1) for i = 0..m-1, with G = 1 + x + ... + x^(m-1) and E the excess.
+
+    Entry i counts the microstates of the other N-1 particles when a tagged
+    one sits in bin i; the entries sum to [x^E] G^N = sum Omega.  The
+    coefficients c_j of G^(N-1) follow from J.C.P. Miller's recurrence for a
+    power of a series, j c_j = sum_{i=1}^{m-1} (N i - j) c_{j-i}, whose
+    division is exact.  The sum is carried as two sliding sums over the last
+    m-1 coefficients, sum c_{j-i} and sum i c_{j-i}, so each degree costs a
+    few big-int operations whatever m is.
+    """
+    n, m, e = spec.n, spec.m, spec.excess_units
+    window = deque([1], maxlen=m)      # c_{j-m} .. c_{j-1}, once j >= m
+    s0 = s1 = 0                        # sum c_{j-i} and sum i c_{j-i}, i = 1..m-1
+    for j in range(1, e + 1):
+        newest = window[-1]
+        dropped = window[0] if len(window) == m else 0
+        s1 += s0 + newest - m * dropped
+        s0 += newest - dropped
+        window.append((n * s1 - j * s0) // j)
+    return list(reversed(window)) + [0] * (m - len(window))
+
+
+def tagged_law(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> tuple[Fraction, ...]:
+    """P(tagged particle in bin i) = [x^(E-i)] G^(N-1) / [x^E] G^N, exact, i = 0..m-1.
+
+    The Einstein-solid count: uniform microstates, counted without listing
+    a binning.  Guards as for enumerate_binnings, so it raises or succeeds
+    where enumeration does.
+    """
+    _require_countable(spec, max_states)
+    counts = _tagged_counts(spec)
+    total = sum(counts)
+    return tuple(Fraction(c, total) for c in counts)
+
+
+def total_multiplicity(spec: GasSpec) -> int:
+    """sum Omega over every binning = [x^E] G^N, the number of microstates."""
+    spec.require_feasible()
+    if spec.n > MAX_EXACT_PARTICLES:
+        raise SizeLimit(f"more than {MAX_EXACT_PARTICLES} particles")
+    return sum(_tagged_counts(spec))
+
+
 def most_probable_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
-    """All argmax-Omega binning states (exact integer ties), lexicographic order."""
-    states = enumerate_binnings(spec, max_states=max_states)
-    omegas = [multiplicity(s) for s in states]
-    best = max(omegas)
-    return [s for s, omega in zip(states, omegas) if omega == best]
+    """All argmax-Omega binning states (exact integer ties), lexicographic order.
+
+    A depth-first branch and bound over n_0 .. n_{m-3}; the last two bins
+    follow from the constraints.  With the Boltzmann fit's multipliers
+    (a, b) in lattice units, any bins i..m-1 holding r particles with
+    excess x have sum ln n_j! >= sum_{j>=i} h_j - a r - b x, where
+    h_j = min_{0<=k<=N} ln k! + (a + b j) k (a Lagrangian bound).  A branch
+    whose bound passes the incumbent by more than float error is pruned.
+    Each level's bound is convex in its occupancy, so children are visited
+    outward from the fitted occupancy and a side stops at the first rising
+    child past the incumbent.  A node whose remaining bins admit one
+    occupancy is a leaf.  Leaves compare the exact prod n_j!, so ties are
+    kept.  Guards as for enumerate_binnings.
+    """
+    _require_countable(spec, max_states)
+    sole = _sole_binning(spec)
+    if sole is not None:
+        return [sole]
+    n, m, x = spec.n, spec.m, spec.excess_units
+    # unit step and no offset: alpha and beta multiply n_j and j n_j, whatever spec.delta is
+    fit = boltzmann_fit(GasSpec(n=n, m=m, e_units=x))
+    a, b = fit.alpha, fit.beta
+    top, last = m - 1, m - 3
+
+    def lnf(k: int) -> float:
+        return math.lgamma(k + 1)
+
+    # the fit's occupancy exp(-a - b j) per bin, the minimiser of ln k! + (a + b j) k
+    fitted = [n if -a - b * j >= math.log(n + 1) else int(math.exp(-a - b * j))
+              for j in range(m)]
+    h = [min(lnf(k) + (a + b * j) * k for k in (f - 1, f, f + 1) if 0 <= k <= n)
+         for j, f in enumerate(fitted)]
+    tail = [0.0] * (m + 1)             # tail[i] = sum_{j >= i} h_j
+    for j in range(m - 1, -1, -1):
+        tail[j] = tail[j + 1] + h[j]
+    # float error of any sum here is far below 1e-9 of its largest term
+    slack = 1e-9 * (1.0 + lnf(n) + abs(a) * n + abs(b) * x + sum(map(abs, h)))
+
+    found: list[tuple[int, ...]] = []
+    best_sum, best_exact = math.inf, None   # the incumbent's float sum ln n_j! and exact prod n_j!
+
+    def limit() -> float:
+        return best_sum + slack
+
+    def children(i: int, rem_n: int, rem_e: int, partial: float):
+        """Below the last free bin, (n_i, the child node) in visiting order;
+        at it, (its three bins, their float sum ln n_j!)."""
+        choices = _occupancies(top, i, rem_n, rem_e)
+        if i < last:
+            c, rest = a + b * i, tail[i + 1] - a * rem_n - b * rem_e
+            kids = _outward(lambda k: partial + lnf(k) + c * k + rest, choices, fitted[i], limit)
+            return ((k, (i + 1, rem_n - k, rem_e - i * k, partial + lnf(k))) for k, _ in kids)
+        low, mid = rem_e - (last + 1) * rem_n, (last + 2) * rem_n - rem_e
+        leaves = _outward(lambda k: partial + lnf(k) + lnf(mid - 2 * k) + lnf(low + k),
+                          choices, fitted[i], limit)
+        return (((k, mid - 2 * k, low + k), value) for k, value in leaves)
+
+    prefix: list[int] = []
+    stack = [children(0, n, x, 0.0)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        if len(stack) <= last:
+            k, (i, rem_n, rem_e, partial) = step
+            rest = _sole_tail(top, i, rem_n, rem_e)
+            if rest is None:
+                prefix.append(k)
+                stack.append(children(i, rem_n, rem_e, partial))
+                continue
+            state, value = (*prefix, k, *rest), partial + sum(map(lnf, rest))
+        else:
+            state, value = (*prefix, *step[0]), step[1]
+        if value > limit():
+            continue
+        exact = math.prod(map(math.factorial, state))
+        if best_exact is None or exact < best_exact:
+            best_sum, best_exact, found = value, exact, [state]
+        elif exact == best_exact:
+            found.append(state)
+    return sorted(found)
+
+
+def _outward(score, choices: range, start: int, limit):
+    """Yield (k, score(k)) for k in choices with score(k) <= limit(), from start outward.
+
+    score is convex, so each side (upward first) stops at the first k whose
+    score rose and passed the limit; limit() is read afresh at every k.
+    """
+    if not choices:
+        return
+    start = min(max(start, choices.start), choices.stop - 1)
+    first = score(start)
+    for ks, prev in ((range(start, choices.stop), math.inf),
+                     (range(start - 1, choices.start - 1, -1), first)):
+        for k in ks:
+            value = first if k == start else score(k)
+            if value <= limit():
+                yield k, value
+            elif value >= prev:
+                break
+            prev = value
 
 
 def _mean_index(b: float, m: int) -> float:
@@ -327,3 +564,18 @@ def frequencies(counts: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], flo
     """Normalize visit counts to relative frequencies."""
     total = sum(counts.values())
     return {k: v / total for k, v in counts.items()}
+
+
+def walk_tv(spec: GasSpec, counts: dict[tuple[int, ...], int]) -> float:
+    """Total-variation distance between walk visit counts and the exact law Omega_b / sum Omega.
+
+    1/2 (sum_visited |f_b - Omega_b/sum Omega| + 1 - sum_visited Omega_b/sum Omega),
+    with sum Omega from the counting recurrence and Omega only for the
+    visited binnings.  Summed over a common denominator in integers, so the
+    float is the correctly rounded exact distance.
+    """
+    total = total_multiplicity(spec)
+    steps = sum(counts.values())
+    omegas = {b: multiplicity(b) for b in counts}
+    gap = sum(abs(c * total - omegas[b] * steps) for b, c in counts.items())
+    return (gap + (total - sum(omegas.values())) * steps) / (2 * steps * total)

@@ -285,14 +285,6 @@ class GasOntModel:
     omegas: tuple[int, ...]                 # multiplicity per binning state
 
     @property
-    def outcome_energies(self) -> tuple[float, ...]:
-        return tuple(self.spec.energy(i) for i in range(self.spec.m))
-
-    @property
-    def outcome_names(self) -> tuple[str, ...]:
-        return tuple(f"eps={e:g}" for e in self.outcome_energies)
-
-    @property
     def model(self) -> OntModel:
         """The float OntModel, built on each access: labels are the binnings as
         JSON lists, mu = Omega / sum Omega and xi[i, lam] = n_i / N."""
@@ -303,7 +295,7 @@ class GasOntModel:
             preparations=(EpistemicState(name="T", mu=tuple(o / total for o in self.omegas)),),
             measurements=(ResponseFunction(
                 name="tagged-particle-energy",
-                outcomes=self.outcome_names,
+                outcomes=tagged_outcome_names(self.spec),
                 xi=tuple(tuple(x / n for x in occupancy) for occupancy in zip(*self.binnings)),
             ),),
             born_targets=None,
@@ -332,17 +324,21 @@ def gas_model(spec: ensemble.GasSpec, max_states: int = ensemble.DEFAULT_STATE_C
                        omegas=tuple(ensemble.multiplicity(s) for s in states))
 
 
-def peak_approximation_delta(gm: GasOntModel) -> float:
+def tagged_outcome_names(spec: ensemble.GasSpec) -> tuple[str, ...]:
+    """Outcome names of the tagged-particle energy measurement, 'eps=<energy>' per bin."""
+    return tuple(f"eps={spec.energy(i):g}" for i in range(spec.m))
+
+
+def peak_approximation_delta(spec: ensemble.GasSpec) -> float:
     """Max outcome error of replacing the mu-average by the mu-peak state.
 
-    The peak state is the argmax of Omega, first in lexicographic order on
-    ties (the binnings are already enumerated lexicographically).
+    The average is the exact tagged-particle law and the peak state the
+    argmax of Omega, first in lexicographic order on ties; neither lists
+    the binnings.
     """
-    peak = gm.binnings[gm.omegas.index(max(gm.omegas))]
-    return max(
-        abs(float(p - Fraction(n, gm.spec.n)))
-        for p, n in zip(gm.outcome_probabilities_exact(), peak)
-    )
+    peak = ensemble.most_probable_binnings(spec)[0]
+    return max(abs(float(p - Fraction(n, spec.n)))
+               for p, n in zip(ensemble.tagged_law(spec), peak))
 
 
 # --- JSON schema -----------------------------------------------------------

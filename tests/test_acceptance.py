@@ -190,8 +190,7 @@ def test_c5_gas_bridge():
     probs = gm.outcome_probabilities_exact()
     exact_ok = probs[0] == Fraction(1, 2)
     deltas = [
-        ontology.peak_approximation_delta(
-            ontology.gas_model(ensemble.GasSpec(n=n, m=3, e_units=(2 * n) // 3)))
+        ontology.peak_approximation_delta(ensemble.GasSpec(n=n, m=3, e_units=(2 * n) // 3))
         for n in [3, 30, 150]
     ]
     mono_ok = deltas[0] > deltas[1] > deltas[2]

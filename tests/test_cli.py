@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,43 @@ class TestGasCommands:
         assert out == ""
         assert json.loads(err) == {"error": "SizeLimit",
                                    "message": f"more than {ensemble.MAX_BINS} bins"}
+
+    def test_state_cap_is_decided_without_enumerating(self, capsys):
+        # 1e8 first-bin choices, each one binning: counted, not listed
+        argv = ["gas", "enumerate", "--n", "200000000", "--m", "3", "--e", "200000000"]
+        t0 = time.perf_counter()
+        assert cli.run(argv) == 1
+        assert time.perf_counter() - t0 < 3.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "SizeLimit",
+                                   "message": "more than 1000000 binning states"}
+
+    @pytest.mark.parametrize("command", ["enumerate", "argmax", "measure"])
+    def test_particle_count_is_capped(self, command, capsys):
+        # one binning, but its exact Omega or law would take minutes to print or count
+        argv = ["gas", command, "--n", "1000000", "--m", "2", "--e", "500000"]
+        t0 = time.perf_counter()
+        assert cli.run(argv) == 1
+        assert time.perf_counter() - t0 < 3.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "SizeLimit",
+            "message": f"more than {ensemble.MAX_EXACT_PARTICLES} particles"}
+
+    @pytest.mark.parametrize("argv", sorted(
+        argv for argv, want in GOLDEN.items()
+        if argv.startswith(("gas argmax", "gas measure")) and want["code"] == 0))
+    def test_measure_and_argmax_list_no_binnings(self, argv, monkeypatch, capsys):
+        # every golden case has C(n+m-1, m-1) within the default cap, so
+        # neither a listing nor a count runs
+        def unlisted(*args, **kwargs):
+            raise AssertionError("listed or counted binnings")
+        monkeypatch.setattr(ensemble, "enumerate_binnings", unlisted)
+        monkeypatch.setattr(ensemble, "_count_binnings", unlisted)
+        assert cli.run(argv.split()) == 0
+        assert capsys.readouterr() == (GOLDEN[argv]["stdout"], "")
 
     def test_fit_output(self):
         proc = run_cli("gas", "fit", "--n", "60", "--m", "4", "--e", "75",

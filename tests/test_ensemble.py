@@ -1,10 +1,13 @@
 """Lattice-gas statistics against brute-force microstate oracles."""
 
+import importlib.util
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +15,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from microcanon import ensemble
+from microcanon import ensemble, ontology
 from microcanon.errors import DegenerateEnergy, DomainError, InfeasibleEnergy, SizeLimit
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_oracles():
+    """bench/oracles.py, which computes from the definitions and imports nothing from microcanon."""
+    spec = importlib.util.spec_from_file_location("bench_oracles", BENCH / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# small gases: particle count, bin count, ground offset and lattice step;
+# each example is checked at every feasible energy
+SMALL_GASES = st.tuples(st.integers(1, 8), st.integers(1, 7), st.integers(0, 2),
+                        st.sampled_from([1.0, 0.5, 0.1, 2.5]))
+
+
+def every_energy(n: int, m: int, eps0_units: int, delta: float):
+    for excess in range(n * (m - 1) + 1):
+        yield ensemble.GasSpec(n=n, m=m, e_units=excess + n * eps0_units, delta=delta,
+                               eps0_units=eps0_units)
 
 
 def brute_force_by_energy(n: int, m: int) -> dict[int, Counter]:
@@ -44,7 +70,7 @@ class TestEnumeration:
     def test_brute_force_oracle_small(self):
         # exhaustive cross-check on a spread of sizes (the acceptance suite
         # runs the full N <= 8, M <= 5 sweep)
-        for n, m in [(2, 2), (3, 3), (4, 3), (5, 2), (4, 4), (6, 3)]:
+        for n, m in [(2, 2), (3, 3), (4, 3), (5, 2), (4, 4), (6, 3), (3, 7), (4, 6)]:
             groups = brute_force_by_energy(n, m)
             for e in range(n * (m - 1) + 1):
                 spec = ensemble.GasSpec(n=n, m=m, e_units=e)
@@ -157,6 +183,90 @@ class TestArgmax:
         expected = sorted(occ for occ, omega in omegas.items() if omega == top)
         spec = ensemble.GasSpec(n=n, m=m, e_units=e)
         assert ensemble.most_probable_binnings(spec) == expected
+
+
+    @given(SMALL_GASES)
+    @settings(max_examples=40, deadline=None)
+    def test_ties_equal_enumeration(self, gas):
+        for spec in every_energy(*gas):
+            states = ensemble.enumerate_binnings(spec)
+            omegas = [ensemble.multiplicity(s) for s in states]
+            top = max(omegas)
+            assert ensemble.most_probable_binnings(spec) == [
+                s for s, omega in zip(states, omegas) if omega == top]
+
+    @pytest.mark.parametrize("n,m,e", [(120, 6, 300), (300, 8, 700)])
+    def test_equals_oracle_search(self, n, m, e):
+        # 1.1e6 and 2.7e10 binnings: the cap is set to C(n+m-1, m-1), the
+        # occupancy vectors with the energy ignored, so no count runs
+        spec = ensemble.GasSpec(n=n, m=m, e_units=e)
+        t0 = time.perf_counter()
+        best = ensemble.most_probable_binnings(spec, max_states=math.comb(n + m - 1, m - 1))
+        elapsed = time.perf_counter() - t0
+        assert best == bench_oracles().argmax_binnings(n, m, e)
+        assert elapsed < 1.0
+
+
+class TestTaggedLaw:
+    @given(SMALL_GASES)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_enumerated_bridge(self, gas):
+        for spec in every_energy(*gas):
+            exact = ontology.gas_model(spec).outcome_probabilities_exact()
+            assert ensemble.tagged_law(spec) == exact
+
+    def test_two_bins_in_closed_form(self):
+        # at m = 2 the tagged particle is excited with probability E / N
+        t0 = time.perf_counter()
+        law = ensemble.tagged_law(ensemble.GasSpec(n=20_000, m=2, e_units=10_000))
+        elapsed = time.perf_counter() - t0
+        assert law == (Fraction(1, 2), Fraction(1, 2))
+        assert ensemble.tagged_law(ensemble.GasSpec(n=20_000, m=2, e_units=7)) == (
+            Fraction(19_993, 20_000), Fraction(7, 20_000))
+        assert elapsed < 1.0
+
+    def test_total_multiplicity_is_the_microstate_count(self):
+        oracles = bench_oracles()
+        for n, m, e in [(1, 1, 0), (1, 4, 2), (7, 3, 5), (60, 6, 150), (300, 8, 700)]:
+            spec = ensemble.GasSpec(n=n, m=m, e_units=e)
+            assert ensemble.total_multiplicity(spec) == oracles.total_microstates(n, m, e)
+
+
+class TestCountingGuards:
+    @pytest.mark.parametrize("n,m,e", [(1, 1, 0), (5, 1, 0), (7, 2, 3), (10, 3, 0), (10, 3, 9),
+                                       (12, 4, 15), (6, 4, 18), (9, 5, 16), (20, 6, 50)])
+    def test_state_cap_parity(self, n, m, e):
+        # every function raises exactly where enumeration does: past the count
+        spec = ensemble.GasSpec(n=n, m=m, e_units=e)
+        count = len(ensemble.enumerate_binnings(spec, max_states=10 ** 9))
+        for fn in (ensemble.enumerate_binnings, ensemble.most_probable_binnings,
+                   ensemble.tagged_law):
+            with pytest.raises(SizeLimit, match=f"^more than {count - 1} binning states$"):
+                fn(spec, max_states=count - 1)
+            fn(spec, max_states=count)
+
+    def test_check_order(self):
+        big, wide = ensemble.MAX_EXACT_PARTICLES + 1, ensemble.MAX_BINS + 1
+        for fn in (ensemble.enumerate_binnings, ensemble.most_probable_binnings,
+                   ensemble.tagged_law):
+            with pytest.raises(InfeasibleEnergy):
+                fn(ensemble.GasSpec(n=big, m=wide, e_units=big * (wide - 1) + 1))
+            with pytest.raises(SizeLimit, match="bins"):
+                fn(ensemble.GasSpec(n=big, m=wide, e_units=big))
+            with pytest.raises(SizeLimit, match="binning states"):
+                fn(ensemble.GasSpec(n=big, m=4, e_units=big), max_states=10)
+            with pytest.raises(SizeLimit, match=f"{ensemble.MAX_EXACT_PARTICLES} particles"):
+                fn(ensemble.GasSpec(n=big, m=2, e_units=big // 2))
+
+    def test_particle_cap_comes_before_the_recurrence(self, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("counting ran past the particle cap")
+        monkeypatch.setattr(ensemble, "_tagged_counts", unreached)
+        big = ensemble.GasSpec(n=ensemble.MAX_EXACT_PARTICLES + 1, m=3, e_units=5)
+        with pytest.raises(SizeLimit, match="particles"):
+            ensemble.tagged_law(big)
+        with pytest.raises(SizeLimit, match="particles"):
+            ensemble.total_multiplicity(big)
 
 
 class TestBoltzmannFit:
@@ -320,6 +430,20 @@ class TestSampler:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2 ** 20
+
+
+class TestWalkTV:
+    @pytest.mark.parametrize("n,m,e,steps,seed", [(3, 3, 2, 50, 1), (4, 3, 4, 500, 2),
+                                                  (6, 4, 9, 40, 3), (6, 4, 9, 5000, 3),
+                                                  (5, 5, 8, 300, 4)])
+    def test_equals_the_sum_over_every_binning(self, n, m, e, steps, seed):
+        spec = ensemble.GasSpec(n=n, m=m, e_units=e)
+        counts = ensemble.sample_microstates(spec, steps=steps, seed=seed)
+        states = ensemble.enumerate_binnings(spec)
+        omegas = [ensemble.multiplicity(s) for s in states]
+        exact = sum(abs(Fraction(counts.get(s, 0), steps) - Fraction(omega, sum(omegas)))
+                    for s, omega in zip(states, omegas)) / 2
+        assert ensemble.walk_tv(spec, counts) == float(exact)
 
 
 class TestGasSpecValidation:

@@ -232,7 +232,7 @@ class TestGasBridge:
                                                  for i in range(m))
         best = max(range(len(mu)), key=lambda j: (mu[j], -j))
         delta = max(abs(float(law[i] - Fraction(states[best][i], n))) for i in range(m))
-        assert ontology.peak_approximation_delta(gm) == delta
+        assert ontology.peak_approximation_delta(spec) == delta
 
     def test_model_floats_match_exact(self):
         gm = ontology.gas_model(ensemble.GasSpec(n=5, m=4, e_units=7))
@@ -259,15 +259,14 @@ class TestGasBridge:
     def test_peak_delta_small_fixture(self):
         # two argmax-tied states at (N=3, M=3, E=2); the lexicographic pick
         # (1,2,0) predicts 1/3 for the ground outcome against the exact 2/3
-        gm = ontology.gas_model(ensemble.GasSpec(n=3, m=3, e_units=2))
-        assert ontology.peak_approximation_delta(gm) == pytest.approx(1.0 / 3.0)
+        spec = ensemble.GasSpec(n=3, m=3, e_units=2)
+        assert ontology.peak_approximation_delta(spec) == pytest.approx(1.0 / 3.0)
 
     def test_peak_delta_shrinks_with_n(self):
         deltas = []
         for n in [3, 30, 150]:
-            gm = ontology.gas_model(
-                ensemble.GasSpec(n=n, m=3, e_units=(2 * n) // 3))
-            deltas.append(ontology.peak_approximation_delta(gm))
+            deltas.append(ontology.peak_approximation_delta(
+                ensemble.GasSpec(n=n, m=3, e_units=(2 * n) // 3)))
         assert deltas[0] > deltas[1] > deltas[2]
         assert deltas[2] < 1e-3
 

@@ -30,4 +30,4 @@ def test_pbr_tradeoff():
 def test_gas_equilibrium_demo():
     lines = run_script("gas_equilibrium_demo.py")
     assert lines[0] == "n,states,argmax_mass,peak_delta,max_fit_gap"
-    assert [int(line.split(",")[0]) for line in lines[1:]] == [3, 9, 30, 90, 150]
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [3, 9, 30, 90, 300, 1000, 3000, 10000]
