@@ -31,10 +31,10 @@ def main() -> int:
     for n in sizes:
         e = round(args.mean_excess * n)
         spec = ensemble.GasSpec(n=n, m=args.m, e_units=e)
-        states = len(ensemble.enumerate_binnings(spec))
         best = ensemble.most_probable_binnings(spec)[0]
+        states = ensemble.count_binnings(spec)
         peak_mass = ensemble.multiplicity(best) / ensemble.total_multiplicity(spec)
-        delta = ontology.peak_approximation_delta(spec)
+        delta = ontology.peak_approximation_delta(spec, best)
         try:
             fit = ensemble.boltzmann_fit(spec)
             gap = max(abs(x - p) for x, p in zip(best, fit.predicted)) / n

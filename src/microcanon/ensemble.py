@@ -24,7 +24,7 @@ from .errors import DegenerateEnergy, DomainError, InfeasibleEnergy, NoConvergen
 DEFAULT_STATE_CAP = 1_000_000
 BETA_TOL = 1e-14  # bracket width of the reduced beta = beta * delta
 MAX_BINS = 10_000  # the walk over bins keeps a stack m deep and builds m-tuples
-MAX_EXACT_PARTICLES = 20_000  # counting core; gas measure at N = 2e4, m = 3, E = N takes 0.4 s
+MAX_EXACT_PARTICLES = 20_000  # counting core; its longest recurrence at the default cap, m = 3 and E = N, takes 0.4 s
 MAX_WALK_STEPS = 10 ** 9  # about 8 minutes of walk at 0.5 us per step
 MAX_WALK_PARTICLES = 10 ** 7  # the walk's per-particle level list, about 80 MB
 _CHUNK = 65_536  # random draws per numpy call in the walk
@@ -214,6 +214,16 @@ def _require_countable(spec: GasSpec, max_states: int):
         raise SizeLimit(f"more than {MAX_EXACT_PARTICLES} particles")
 
 
+def count_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> int:
+    """Number of binning states, counted without building one.
+
+    Guards as for enumerate_binnings, so it raises or succeeds where
+    enumeration does and then equals len(enumerate_binnings(spec)).
+    """
+    _require_countable(spec, max_states)
+    return _count_binnings(spec, max_states)
+
+
 def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
     """All occupancy vectors meeting both constraints, lexicographically.
 
@@ -248,27 +258,40 @@ def entropy(n: tuple[int, ...], k: float = 1.0) -> float:
     return k * (math.lgamma(sum(n) + 1) - sum(math.lgamma(x + 1) for x in n))
 
 
-def _tagged_counts(spec: GasSpec) -> list[int]:
-    """[x^(E-i)] G^(N-1) for i = 0..m-1, with G = 1 + x + ... + x^(m-1) and E the excess.
+def _power_coefficients(n: int, m: int, degree: int) -> list[int]:
+    """[x^j] G^(n-1) for j = degree-m+1 .. degree, zero below j = 0.
 
-    Entry i counts the microstates of the other N-1 particles when a tagged
-    one sits in bin i; the entries sum to [x^E] G^N = sum Omega.  The
-    coefficients c_j of G^(N-1) follow from J.C.P. Miller's recurrence for a
-    power of a series, j c_j = sum_{i=1}^{m-1} (N i - j) c_{j-i}, whose
-    division is exact.  The sum is carried as two sliding sums over the last
-    m-1 coefficients, sum c_{j-i} and sum i c_{j-i}, so each degree costs a
-    few big-int operations whatever m is.
+    The coefficients c_j follow from J.C.P. Miller's recurrence for a power
+    of a series, j c_j = sum_{i=1}^{m-1} (n i - j) c_{j-i}, whose division
+    is exact.  The sum is carried as two sliding sums over the last m-1
+    coefficients, sum c_{j-i} and sum i c_{j-i}, so each degree costs a few
+    big-int operations whatever m is.
     """
-    n, m, e = spec.n, spec.m, spec.excess_units
     window = deque([1], maxlen=m)      # c_{j-m} .. c_{j-1}, once j >= m
     s0 = s1 = 0                        # sum c_{j-i} and sum i c_{j-i}, i = 1..m-1
-    for j in range(1, e + 1):
+    for j in range(1, degree + 1):
         newest = window[-1]
         dropped = window[0] if len(window) == m else 0
         s1 += s0 + newest - m * dropped
         s0 += newest - dropped
         window.append((n * s1 - j * s0) // j)
-    return list(reversed(window)) + [0] * (m - len(window))
+    return [0] * (m - len(window)) + list(window)
+
+
+def _tagged_counts(spec: GasSpec) -> list[int]:
+    """[x^(E-i)] G^(N-1) for i = 0..m-1, with G = 1 + x + ... + x^(m-1) and E the excess.
+
+    Entry i counts the microstates of the other N-1 particles when a tagged
+    one sits in bin i; the entries sum to [x^E] G^N = sum Omega.  G^(N-1) is
+    palindromic, c_j = c_{D-j} with D = (N-1)(m-1), so the recurrence runs
+    from whichever end is nearer: to degree E, or to degree D-E+m-1 and read
+    c_{D-E+i}.  Its length is at most N(m-1)/2 + m, at the middle energy.
+    """
+    n, m, e = spec.n, spec.m, spec.excess_units
+    mirror = (n - 1) * (m - 1) - e     # c_{E-i} = c_{mirror+i}
+    if e <= mirror + m - 1:
+        return _power_coefficients(n, m, e)[::-1]
+    return _power_coefficients(n, m, mirror + m - 1)
 
 
 def tagged_law(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> tuple[Fraction, ...]:

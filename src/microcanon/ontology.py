@@ -329,14 +329,15 @@ def tagged_outcome_names(spec: ensemble.GasSpec) -> tuple[str, ...]:
     return tuple(f"eps={spec.energy(i):g}" for i in range(spec.m))
 
 
-def peak_approximation_delta(spec: ensemble.GasSpec) -> float:
+def peak_approximation_delta(spec: ensemble.GasSpec, peak: tuple[int, ...] | None = None) -> float:
     """Max outcome error of replacing the mu-average by the mu-peak state.
 
     The average is the exact tagged-particle law and the peak state the
-    argmax of Omega, first in lexicographic order on ties; neither lists
-    the binnings.
+    argmax of Omega, first in lexicographic order on ties, unless the
+    caller passes the peak it already holds; neither lists the binnings.
     """
-    peak = ensemble.most_probable_binnings(spec)[0]
+    if peak is None:
+        peak = ensemble.most_probable_binnings(spec)[0]
     return max(abs(float(p - Fraction(n, spec.n)))
                for p, n in zip(ensemble.tagged_law(spec), peak))
 

@@ -190,6 +190,7 @@ class TestArgmax:
     def test_ties_equal_enumeration(self, gas):
         for spec in every_energy(*gas):
             states = ensemble.enumerate_binnings(spec)
+            assert ensemble.count_binnings(spec) == len(states)
             omegas = [ensemble.multiplicity(s) for s in states]
             top = max(omegas)
             assert ensemble.most_probable_binnings(spec) == [
@@ -224,6 +225,21 @@ class TestTaggedLaw:
         assert ensemble.tagged_law(ensemble.GasSpec(n=20_000, m=2, e_units=7)) == (
             Fraction(19_993, 20_000), Fraction(7, 20_000))
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n,m,e", [(1000, 10_000, 1000 * 9999), (20_000, 100, 1_980_000),
+                                       (20_000, 10_000, 20_000 * 9999 - 5),
+                                       (20_000, 100, 1_979_970)])
+    def test_top_energy_runs_from_the_near_end(self, n, m, e):
+        # one or a few binnings, E up to N(m-1): G^(N-1) is palindromic, so
+        # the recurrence runs about m steps from its top, not E from its foot
+        spec = ensemble.GasSpec(n=n, m=m, e_units=e)
+        t0 = time.perf_counter()
+        law = ensemble.tagged_law(spec)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0
+        # bin i <-> bin m-1-i maps the gas at E to the gas at N(m-1) - E
+        flipped = ensemble.GasSpec(n=n, m=m, e_units=n * (m - 1) - e)
+        assert law == ensemble.tagged_law(flipped)[::-1]
 
     def test_total_multiplicity_is_the_microstate_count(self):
         oracles = bench_oracles()
