@@ -30,7 +30,10 @@ MARBLES = str(FIXTURES / "marbles.json")
 # numbers in fixed-size chunks; and the exit-1 gas measure case at
 # delta 1e308, recorded when GasSpec began to reject an infinite top bin
 # energy; and the exit-2 pbr cat --format csv case, re-recorded when
-# pbr cat stopped accepting a format it ignored.
+# pbr cat stopped accepting a format it ignored; and the gas sample cases
+# at one bin, one particle, both energy ends, two and twelve bins, one
+# step and 255 to 70,000 particles, recorded from the release before the
+# walk kept its binning as one int.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
