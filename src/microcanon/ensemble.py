@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import copy
 import math
-from collections import deque
+import struct
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ MAX_EXACT_PARTICLES = 20_000  # counting core; its longest recurrence at the def
 MAX_WALK_STEPS = 10 ** 9  # about 8 minutes of walk at 0.5 us per step
 MAX_WALK_PARTICLES = 10 ** 7  # the walk's per-particle level list, about 80 MB
 _CHUNK = 65_536  # random draws per numpy call in the walk
+_FIELD_TABLE_BITS = 2048  # the walk's table of occupancy fields, at most 48 KiB
 
 # Stirling variants for ln m! used in the variational solve.
 STIRLING_MLNM = "m_ln_m"
@@ -538,7 +540,14 @@ def sample_microstates(spec: GasSpec, steps: int, seed: int) -> dict[tuple[int, 
     symmetric proposal whose stationary distribution is uniform over
     microstates.  The walk state after each of the `steps` proposals is
     tallied by its occupancy vector.  Fixed seed means fixed output.
-    Memory is O(_CHUNK) whatever `steps` is; more than MAX_WALK_STEPS steps
+
+    The binning is kept as one int whose fields of `width` bytes (1, 2 or 4,
+    wide enough for N) are the occupancies, little-endian by bin, so an
+    accepted move adds one field difference to it and no step builds or
+    hashes a tuple.  Visits are tallied as run lengths: the dict is touched
+    on accepted moves only, and each distinct binning is unpacked into its
+    tuple once, at the end.  Memory is O(_CHUNK) plus O(m * width) bytes
+    per visited binning, whatever `steps` is; more than MAX_WALK_STEPS steps
     raise SizeLimit before any draw, and more than MAX_WALK_PARTICLES
     particles before the O(N) level list is built.
     """
@@ -551,10 +560,17 @@ def sample_microstates(spec: GasSpec, steps: int, seed: int) -> dict[tuple[int, 
         raise SizeLimit(f"more than {MAX_WALK_PARTICLES} walk particles")
 
     levels = _initial_microstate(spec)
-    occ = [0] * spec.m
-    for level in levels:
-        occ[level] += 1
-    top = spec.m - 1
+    n, top = spec.n, spec.m - 1
+    width = 1 if n < 1 << 8 else 2 if n < 1 << 16 else 4
+    bits = 8 * width
+    code = sum(count << bits * level for level, count in Counter(levels).items())
+    # Bin l's field starts at bit bits*l, so a particle going from level l
+    # to l + 1 adds unit << bits*l to the code.  The table holds that step
+    # for the levels whose field fits in _FIELD_TABLE_BITS and higher ones
+    # are shifted on the fly, so the table does not grow with m.
+    unit = (1 << bits) - 1
+    fields = [unit << bits * level for level in range(min(spec.m, _FIELD_TABLE_BITS // bits))]
+    low = len(fields)
 
     # Donors are the generator's first `steps` draws and recipients the next
     # `steps`.  A copy of the generator skips the donors in one discard pass,
@@ -563,24 +579,32 @@ def sample_microstates(spec: GasSpec, steps: int, seed: int) -> dict[tuple[int, 
     donor_rng = np.random.default_rng(seed)
     recip_rng = copy.deepcopy(donor_rng)
     for size in chunks:
-        recip_rng.integers(0, spec.n, size=size)
+        recip_rng.integers(0, n, size=size)
 
-    counts: dict[tuple[int, ...], int] = {}
-    key = tuple(occ)
+    counts: dict[int, int] = {}
+    run = 0  # steps tallied to `code` since the last accepted move
     for size in chunks:
-        for d, r in zip(donor_rng.integers(0, spec.n, size=size).tolist(),
-                        recip_rng.integers(0, spec.n, size=size).tolist()):
+        for d, r in zip(donor_rng.integers(0, n, size=size).tolist(),
+                        recip_rng.integers(0, n, size=size).tolist()):
             ld, lr = levels[d], levels[r]
             if d != r and ld > 0 and lr < top:
-                occ[ld] -= 1
-                occ[ld - 1] += 1
-                occ[lr] -= 1
-                occ[lr + 1] += 1
                 levels[d] = ld - 1
                 levels[r] = lr + 1
-                key = tuple(occ)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+                counts[code] = counts.get(code, 0) + run
+                run = 1
+                if lr < low and ld <= low:
+                    code += fields[lr] - fields[ld - 1]
+                else:
+                    code += (unit << bits * lr) - (unit << bits * (ld - 1))
+            else:
+                run += 1
+    counts[code] = counts.get(code, 0) + run
+
+    # Unpack each binning once; the start binning's run is zero when the
+    # first step moved.
+    unpack = struct.Struct(f"<{spec.m}{'BHI'[width // 2]}").unpack
+    nbytes = width * spec.m
+    return {unpack(key.to_bytes(nbytes, "little")): count for key, count in counts.items() if count}
 
 
 def frequencies(counts: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], float]:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -40,6 +40,33 @@ def every_energy(n: int, m: int, eps0_units: int, delta: float):
     for excess in range(n * (m - 1) + 1):
         yield ensemble.GasSpec(n=n, m=m, e_units=excess + n * eps0_units, delta=delta,
                                eps0_units=eps0_units)
+
+
+def replayed_walk(n: int, m: int, excess: int, steps: int, seed: int) -> Counter:
+    """The walk replayed from whole-array draws, tallied by occupancy tuple after every step.
+
+    Donors are the first `steps` draws of default_rng(seed) and recipients
+    the next `steps`; particle p starts at min(m - 1, what is left of the
+    excess).
+    """
+    draws = np.random.default_rng(seed).integers(0, n, size=2 * steps).tolist()
+    levels, rem = [], excess
+    for _ in range(n):
+        levels.append(min(m - 1, rem))
+        rem -= levels[-1]
+    start = Counter(levels)
+    occ = [start[i] for i in range(m)]
+    want = Counter()
+    for d, r in zip(draws[:steps], draws[steps:]):
+        ld, lr = levels[d], levels[r]
+        if d != r and ld > 0 and lr < m - 1:
+            levels[d], levels[r] = ld - 1, lr + 1
+            occ[ld] -= 1
+            occ[ld - 1] += 1
+            occ[lr] -= 1
+            occ[lr + 1] += 1
+        want[tuple(occ)] += 1
+    return want
 
 
 def brute_force_by_energy(n: int, m: int) -> dict[int, Counter]:
@@ -420,20 +447,41 @@ class TestSampler:
         with pytest.raises(ValueError):
             ensemble.sample_microstates(spec, steps=0, seed=1)
 
-    def test_chunked_draws_follow_one_generator(self):
+    @given(st.integers(1, 9), st.integers(1, 6), st.integers(1, 400), st.integers(0, 3))
+    @example(2, 3, 2 * ensemble._CHUNK + 3, 5)
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_draws_follow_one_generator(self, n, m, steps, seed):
         # donors are the generator's first `steps` draws and recipients the
-        # next `steps`, whatever the chunk size; replay that on a gas whose
-        # every proposal with distinct particles is accepted
-        spec = ensemble.GasSpec(n=2, m=3, e_units=2)
-        steps = 2 * ensemble._CHUNK + 3
-        draws = np.random.default_rng(5).integers(0, 2, size=2 * steps)
-        levels, want = [2, 0], Counter()
-        for d, r in zip(draws[:steps], draws[steps:]):
-            if d != r and levels[d] > 0 and levels[r] < 2:
-                levels[d] -= 1
-                levels[r] += 1
-            want[tuple(levels.count(i) for i in range(3))] += 1
-        assert ensemble.sample_microstates(spec, steps=steps, seed=5) == want
+        # next `steps`, whatever the chunk size; every feasible energy, the
+        # two ends rejecting every move
+        for excess in range(n * (m - 1) + 1):
+            spec = ensemble.GasSpec(n=n, m=m, e_units=excess)
+            assert (ensemble.sample_microstates(spec, steps=steps, seed=seed)
+                    == replayed_walk(n, m, excess, steps, seed))
+
+    @pytest.mark.parametrize("n,m,excess,steps,seed", [
+        (4, 300, 560, 3000, 1),          # 1-byte fields, levels either side of the table's end
+        (6, 600, 1500, 3000, 2),         # 1-byte fields, levels past the table
+        (300, 200, 30000, 2000, 3),      # 2-byte fields, levels past the table
+        (70000, 3, 300, 2000, 4),        # 4-byte fields, an occupancy past 65,535
+        (70000, 100, 3_000_000, 500, 5),  # 4-byte fields, levels past the table
+    ])
+    def test_wide_fields_and_high_levels(self, n, m, excess, steps, seed):
+        spec = ensemble.GasSpec(n=n, m=m, e_units=excess)
+        assert (ensemble.sample_microstates(spec, steps=steps, seed=seed)
+                == replayed_walk(n, m, excess, steps, seed))
+
+    def test_walk_state_is_not_quadratic_in_bins(self):
+        # a table of every bin's field would hold O(m^2 log N) bits, about
+        # 68 MiB here; one step needs only the level list and the key
+        spec = ensemble.GasSpec(n=10, m=ensemble.MAX_BINS, e_units=50_000)
+        tracemalloc.start()
+        try:
+            ensemble.sample_microstates(spec, steps=1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
     def test_walk_memory_does_not_grow_with_steps(self):
         spec = ensemble.GasSpec(n=18, m=5, e_units=36)
