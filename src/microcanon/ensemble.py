@@ -26,7 +26,7 @@ DEFAULT_STATE_CAP = 1_000_000
 BETA_TOL = 1e-14  # bracket width of the reduced beta = beta * delta
 MAX_BINS = 10_000  # the walk over bins keeps a stack m deep and builds m-tuples
 MAX_EXACT_PARTICLES = 20_000  # counting core; its longest recurrence at the default cap, m = 3 and E = N, takes 0.4 s
-MAX_WALK_STEPS = 10 ** 9  # about 8 minutes of walk at 0.5 us per step
+MAX_WALK_STEPS = 10 ** 9  # about 8 minutes of walk at 0.47 us per step (n = 18, m = 5)
 MAX_WALK_PARTICLES = 10 ** 7  # the walk's per-particle level list, about 80 MB
 _CHUNK = 65_536  # random draws per numpy call in the walk
 _FIELD_TABLE_BITS = 2048  # the walk's table of occupancy fields, at most 48 KiB
