@@ -472,8 +472,8 @@ class TestSampler:
                 == replayed_walk(n, m, excess, steps, seed))
 
     def test_walk_state_is_not_quadratic_in_bins(self):
-        # a table of every bin's field would hold O(m^2 log N) bits, about
-        # 68 MiB here; one step needs only the level list and the key
+        # a table of every bin's field step holds O(m^2 log N) bits, a
+        # 52 MiB peak here; one step needs only the level list and the key
         spec = ensemble.GasSpec(n=10, m=ensemble.MAX_BINS, e_units=50_000)
         tracemalloc.start()
         try:
