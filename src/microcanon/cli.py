@@ -4,6 +4,8 @@ Thin adapters over the library: every value printed is the library result
 formatted at 17 significant digits, CSV with '.' decimals and LF endings.
 Exit codes: 0 success, 1 computation error (JSON diagnostic on stderr),
 2 usage error.
+
+The pbr module, and with it numpy, is imported by the pbr commands only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import io
 import json
 import sys
 
-from . import continuum, ensemble, ontology, pbr
+from . import continuum, ensemble, ontology
 from .errors import MicrocanonError
 
 
@@ -176,12 +178,14 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_pbr_demo(args) -> int:
+    from . import pbr
     rows = [(q, pbr.min_forbidden_probability(q, resolution=args.resolution, method=args.method))
             for q in _parse_grid(args.q_grid)]
     return _emit_records(args, ("q", "min_forbidden_prob"), rows)
 
 
 def cmd_pbr_scan(args) -> int:
+    from . import pbr
     curve = pbr.epsilon_overlap_tradeoff(_parse_grid(args.eps_grid),
                                          resolution=args.resolution, method=args.method)
     return _emit_records(args, ("eps", "q_max"), curve)
@@ -189,6 +193,7 @@ def cmd_pbr_scan(args) -> int:
 
 def cmd_pbr_cat(args) -> int:
     # a model document, so JSON only: there is no table to print
+    from . import pbr
     fixture = pbr.cat_fixture(complex(args.a), complex(args.b))
     _emit(args, _json_text(ontology.model_to_dict(fixture.model)))
     return 0

@@ -45,32 +45,6 @@ class ContinuumGas:
             raise ValueError(f"eps0 must be non-negative, got {self.eps0}")
 
 
-@dataclass(frozen=True)
-class DensityCurve:
-    """Sampled rho(eps) over strictly increasing eps.
-
-    rho is strictly decreasing until it underflows: past about eps0 + 745*T
-    the density is 0.0 in floating point, so a tail of exact zeros is allowed.
-    """
-
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        eps = [p[0] for p in self.points]
-        rho_vals = [p[1] for p in self.points]
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps values must be strictly increasing")
-        if any(r < 0 for r in rho_vals):
-            raise ValueError("rho must be non-negative")
-        if any(b >= a and b > 0 for a, b in zip(rho_vals, rho_vals[1:])):
-            raise ValueError("rho must be strictly decreasing")
-
-    def to_csv(self) -> str:
-        lines = ["eps,rho"]
-        lines += [f"{e:.17g},{r:.17g}" for e, r in self.points]
-        return "\n".join(lines) + "\n"
-
-
 def rho(eps: float, gas: ContinuumGas, e1: float) -> float:
     """Particles per unit energy at eps, for total energy e1."""
     if e1 <= gas.eps0:
@@ -80,21 +54,6 @@ def rho(eps: float, gas: ContinuumGas, e1: float) -> float:
     span = (e1 - gas.eps0) / gas.t
     denom = -math.expm1(-span)
     return (gas.n / gas.t) * math.exp(-(eps - gas.eps0) / gas.t) / denom
-
-
-def single_particle_pdf(eps: float, gas: ContinuumGas, e1: float) -> float:
-    """Probability density of one particle's energy: rho / N."""
-    return rho(eps, gas, e1) / gas.n
-
-
-def density_curve(gas: ContinuumGas, e1: float, num_points: int = 100) -> DensityCurve:
-    if num_points < 2:
-        raise ValueError("need at least two sample points")
-    pts = []
-    for j in range(num_points):
-        e = gas.eps0 + (e1 - gas.eps0) * j / (num_points - 1)
-        pts.append((e, rho(e, gas, e1)))
-    return DensityCurve(points=tuple(pts))
 
 
 def energy_residual(e1: float, gas: ContinuumGas) -> float:

@@ -6,6 +6,10 @@ tuple {n_i} obeying the particle-number and total-energy constraints; its
 multiplicity Omega = N! / prod(n_i!) counts the microstates it contains.
 Everything here is exact (integer lattice, arbitrary-precision Omega) so
 that enumeration-based oracles can check it bin by bin.
+
+numpy is imported inside the functions that use it (the Boltzmann fit, the
+bin energies and the microstate walk), so the exact counting commands start
+without it.
 """
 
 from __future__ import annotations
@@ -17,14 +21,12 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import roots
 from .errors import DegenerateEnergy, DomainError, InfeasibleEnergy, NoConvergence, SizeLimit
 
 DEFAULT_STATE_CAP = 1_000_000
 BETA_TOL = 1e-14  # bracket width of the reduced beta = beta * delta
-MAX_BINS = 10_000  # the walk over bins keeps a stack m deep and builds m-tuples
+MAX_BINS = 10_000  # enumeration keeps a stack m deep; it and the microstate walk build m-tuples
 MAX_EXACT_PARTICLES = 20_000  # counting core; its longest recurrence at the default cap, m = 3 and E = N, takes 0.4 s
 MAX_WALK_STEPS = 10 ** 9  # about 8 minutes of walk at 0.47 us per step (n = 18, m = 5)
 MAX_WALK_PARTICLES = 10 ** 7  # the walk's per-particle level list, about 80 MB
@@ -81,6 +83,7 @@ class GasSpec:
 
     @property
     def energies(self) -> np.ndarray:
+        import numpy as np
         return (self.eps0_units + np.arange(self.m)) * self.delta
 
     @property
@@ -427,6 +430,7 @@ def _outward(score, choices: range, start: int, limit):
 
 def _mean_index(b: float, m: int) -> float:
     """Mean bin index under weights exp(-b*i), i = 0..m-1, overflow-safe."""
+    import numpy as np
     i = np.arange(m)
     x = -b * i
     x -= x.max()
@@ -453,6 +457,7 @@ def _solve_reduced_beta(target: float, m: int) -> float:
 
 
 def _logsumexp(x: np.ndarray) -> float:
+    import numpy as np
     c = x.max()
     return float(c + np.log(np.exp(x - c).sum()))
 
@@ -465,6 +470,7 @@ def boltzmann_fit(spec: GasSpec, stirling_variant: str = STIRLING_MLNM_MINUS_M) 
     Stirling variants change the stationarity condition only through a
     constant that alpha absorbs, so they must land on the same beta.
     """
+    import numpy as np
     spec.require_feasible()
     excess = spec.excess_units
     if spec.m == 1 or excess == 0 or excess == spec.n * (spec.m - 1):
@@ -500,6 +506,7 @@ def boltzmann_fit(spec: GasSpec, stirling_variant: str = STIRLING_MLNM_MINUS_M) 
 
 
 def _check_fit(spec: GasSpec, fit: BoltzmannFit, rtol: float = 1e-10):
+    import numpy as np
     pred = np.asarray(fit.predicted)
     n_err = abs(pred.sum() - spec.n)
     e_err = abs(float(pred @ spec.energies) - spec.total_energy)
@@ -547,11 +554,15 @@ def sample_microstates(spec: GasSpec, steps: int, seed: int) -> dict[tuple[int, 
     hashes a tuple.  Visits are tallied as run lengths: the dict is touched
     on accepted moves only, and each distinct binning is unpacked into its
     tuple once, at the end.  Memory is O(_CHUNK) plus O(m * width) bytes
-    per visited binning, whatever `steps` is; more than MAX_WALK_STEPS steps
-    raise SizeLimit before any draw, and more than MAX_WALK_PARTICLES
-    particles before the O(N) level list is built.
+    per visited binning, whatever `steps` is.  More than MAX_BINS bins (as
+    in enumeration) or MAX_WALK_STEPS steps raise SizeLimit before any
+    draw, and more than MAX_WALK_PARTICLES particles before the O(N) level
+    list is built.
     """
+    import numpy as np
     spec.require_feasible()
+    if spec.m > MAX_BINS:
+        raise SizeLimit(f"more than {MAX_BINS} bins")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     if steps > MAX_WALK_STEPS:

@@ -16,6 +16,9 @@ The gas bridge turns a lattice gas spec into such a model: ontic states are
 the binning states, mu is proportional to multiplicity (uniform over
 microstates), and the one measurement is the energy of a single tagged
 particle, xi[eps_i, lam] = n_i / N.  All of that is exact in rationals.
+
+numpy is imported inside the two functions that use it, validate and
+outcome_distribution, so the gas bridge starts without it.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import ensemble
 from .errors import DimensionMismatch, MissingTargets, SchemaError
@@ -105,6 +106,7 @@ class Violation:
 
 def validate(model: OntModel) -> list[Violation]:
     """Every violated invariant with its magnitude; empty list means valid."""
+    import numpy as np
     out: list[Violation] = []
     n_lam = model.lam.size
     for p in model.preparations:
@@ -175,6 +177,7 @@ def _require_mu_fits(model: OntModel, p: EpistemicState):
 
 def outcome_distribution(model: OntModel, prep: str, meas: str) -> np.ndarray:
     """P(outcome k) = sum_lam xi[k, lam] mu[lam]."""
+    import numpy as np
     p = model.preparation(prep)
     m = model.measurement(meas)
     _require_mu_fits(model, p)
@@ -434,8 +437,3 @@ def load_model(path: str) -> OntModel:
     with open(path, encoding="utf-8") as fh:
         return model_from_dict(json.load(fh, parse_int=float))
 
-
-def save_model(model: OntModel, path: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")

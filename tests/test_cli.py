@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy
 import pytest
 
 from microcanon import cli, ensemble, ontology, pbr
@@ -33,7 +34,8 @@ MARBLES = str(FIXTURES / "marbles.json")
 # pbr cat stopped accepting a format it ignored; and the gas sample cases
 # at one bin, one particle, both energy ends, two and twelve bins, one
 # step and 255 to 70,000 particles, recorded from the release before the
-# walk kept its binning as one int.
+# walk kept its binning as one int; and the exit-1 gas sample case at
+# 10,001 bins, recorded when the walk began to apply MAX_BINS.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
@@ -121,7 +123,7 @@ class TestGasCommands:
     def test_walk_length_is_capped_before_any_draw(self, monkeypatch, capsys):
         def no_draw(seed):
             raise AssertionError("the walk drew random numbers")
-        monkeypatch.setattr(ensemble.np.random, "default_rng", no_draw)
+        monkeypatch.setattr(numpy.random, "default_rng", no_draw)
         argv = ["gas", "sample", "--n", "3", "--m", "3", "--e", "2",
                 "--steps", str(ensemble.MAX_WALK_STEPS + 1), "--seed", "1"]
         assert cli.run(argv) == 1
@@ -129,6 +131,18 @@ class TestGasCommands:
         assert out == ""
         assert json.loads(err) == {"error": "SizeLimit",
                                    "message": f"more than {ensemble.MAX_WALK_STEPS} walk steps"}
+
+    def test_walk_bins_are_capped_before_any_draw(self, monkeypatch, capsys):
+        def no_draw(seed):
+            raise AssertionError("the walk drew random numbers")
+        monkeypatch.setattr(numpy.random, "default_rng", no_draw)
+        argv = ["gas", "sample", "--n", "3", "--m", str(ensemble.MAX_BINS + 1), "--e", "2",
+                "--steps", "2", "--seed", "1"]
+        assert cli.run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "SizeLimit",
+                                   "message": f"more than {ensemble.MAX_BINS} bins"}
 
     def test_walk_particles_are_capped_before_allocation(self, monkeypatch, capsys):
         def no_levels(spec):
@@ -427,6 +441,35 @@ def test_no_command_loads_scipy():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.stdout == "[0, 0, 0, 0, 0, 0, 0] False\n"
+    assert proc.stderr == ""
+
+
+def test_exact_commands_start_without_numpy():
+    # numpy is 70-125 ms of start-up; the exact gas commands never call it
+    script = (
+        "import contextlib, io, sys\n"
+        "import microcanon\n"
+        "def loaded():\n"
+        "    return ['numpy' in sys.modules, 'microcanon.pbr' in sys.modules]\n"
+        "bare = loaded()\n"
+        "from microcanon import cli\n"
+        "exact, rest = sys.argv[1:4], sys.argv[4:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run(argv.split()) for argv in exact]\n"
+        "    after_exact = loaded()\n"
+        "    names = [microcanon.pbr.__name__, microcanon.ensemble.__name__]\n"
+        "    codes += [cli.run(argv.split()) for argv in rest]\n"
+        "print(bare, after_exact, names, codes)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "gas enumerate --n 5 --m 4 --e 6",
+         "gas measure --n 5 --m 4 --e 6", "gas solve --n 1000 --t 1",
+         "gas sample --n 5 --m 3 --e 4 --steps 100 --seed 1", "gas argmax --n 5 --m 4 --e 6",
+         "pbr demo --q-grid 0.5", "pbr scan --eps-grid 0,0.01", "pbr cat --a 0.6 --b 0.8"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.stdout == ("[False, False] [False, False] ['microcanon.pbr', 'microcanon.ensemble'] "
+                           "[0, 0, 0, 0, 0, 0, 0, 0]\n")
     assert proc.stderr == ""
 
 

@@ -19,13 +19,6 @@ class TestDensity:
         val, err = integrate.quad(lambda e: continuum.rho(e, gas, e1), eps0, e1)
         assert val == pytest.approx(n, rel=1e-8)
 
-    def test_pdf_is_rho_over_n(self):
-        gas = continuum.ContinuumGas(n=25.0, t=2.0, eps0=1.0)
-        e1 = 60.0
-        for e in [1.0, 5.0, 30.0, 60.0]:
-            assert continuum.single_particle_pdf(e, gas, e1) == pytest.approx(
-                continuum.rho(e, gas, e1) / gas.n, rel=1e-14)
-
     def test_domain_errors(self):
         gas = continuum.ContinuumGas(n=10.0, t=1.0, eps0=1.0)
         with pytest.raises(DomainError):
@@ -35,35 +28,17 @@ class TestDensity:
         with pytest.raises(DomainError):
             continuum.rho(1.0, gas, 0.5)  # e1 below eps0
 
-    def test_curve_monotone_and_csv(self):
-        gas = continuum.ContinuumGas(n=10.0, t=1.0)
-        curve = continuum.density_curve(gas, e1=12.0, num_points=50)
-        assert len(curve.points) == 50
-        assert curve.points[0][0] == 0.0
-        assert curve.points[-1][0] == 12.0
-        csv_text = curve.to_csv()
-        lines = csv_text.splitlines()
-        assert lines[0] == "eps,rho"
-        assert len(lines) == 51
-        assert csv_text.endswith("\n")
-
     @pytest.mark.parametrize("eps0", [5.0, 0.0])
     def test_curve_at_the_root_ends_in_underflow_zeros(self, eps0):
         # rho underflows to 0.0 past about eps0 + 745*T, far below the root
         gas = continuum.ContinuumGas(n=1000, t=1.0, eps0=eps0)
         e1 = continuum.solve_total_energy(gas)
-        rho_vals = [r for _, r in continuum.density_curve(gas, e1).points]
-        assert len(rho_vals) == 100
+        rho_vals = [continuum.rho(gas.eps0 + (e1 - gas.eps0) * j / 99, gas, e1)
+                    for j in range(100)]
         positive = [r for r in rho_vals if r > 0]
         assert 1 < len(positive) < len(rho_vals)
         assert rho_vals[len(positive):] == [0.0] * (len(rho_vals) - len(positive))
         assert all(b < a for a, b in zip(positive, positive[1:]))
-
-    def test_curve_rejects_a_rise_after_zero(self):
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            continuum.DensityCurve(points=((0.0, 1.0), (1.0, 0.0), (2.0, 0.5)))
-        with pytest.raises(ValueError, match="strictly decreasing"):
-            continuum.DensityCurve(points=((0.0, 1.0), (1.0, 1.0)))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

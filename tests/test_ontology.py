@@ -274,7 +274,7 @@ class TestGasBridge:
 class TestSerialization:
     def test_round_trip(self, marbles, tmp_path):
         path = tmp_path / "model.json"
-        ontology.save_model(marbles, str(path))
+        path.write_text(json.dumps(ontology.model_to_dict(marbles)), encoding="utf-8")
         back = ontology.load_model(str(path))
         assert back == marbles
 
