@@ -8,8 +8,9 @@ Everything here is exact (integer lattice, arbitrary-precision Omega) so
 that enumeration-based oracles can check it bin by bin.
 
 numpy is imported inside the functions that use it (the Boltzmann fit, the
-bin energies and the microstate walk), so the exact counting commands start
-without it.
+bin energies and the microstate walk), so enumeration, multiplicities and
+the tagged-particle law run without it; the argmax search starts from the
+fit, so it loads numpy.
 """
 
 from __future__ import annotations
