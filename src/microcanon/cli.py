@@ -5,7 +5,8 @@ formatted at 17 significant digits, CSV with '.' decimals and LF endings.
 Exit codes: 0 success, 1 computation error (JSON diagnostic on stderr),
 2 usage error.
 
-The pbr module, and with it numpy, is imported by the pbr commands only.
+The pbr module is imported by the pbr commands only, and of those only
+`--method grid` loads numpy.
 """
 
 from __future__ import annotations

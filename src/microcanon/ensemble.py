@@ -314,8 +314,15 @@ def tagged_law(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> tuple[Frac
 
 
 def total_multiplicity(spec: GasSpec) -> int:
-    """sum Omega over every binning = [x^E] G^N, the number of microstates."""
+    """sum Omega over every binning = [x^E] G^N, the number of microstates.
+
+    Guards in _require_countable's order, without the binning cap:
+    InfeasibleEnergy, then SizeLimit past MAX_BINS bins and past
+    MAX_EXACT_PARTICLES particles.
+    """
     spec.require_feasible()
+    if spec.m > MAX_BINS:
+        raise SizeLimit(f"more than {MAX_BINS} bins")
     if spec.n > MAX_EXACT_PARTICLES:
         raise SizeLimit(f"more than {MAX_EXACT_PARTICLES} particles")
     return sum(_tagged_counts(spec))

@@ -10,6 +10,10 @@ probability of at least q^2/4 no matter how the response function is chosen.
 The minimax over response functions is an exact linear program, with a
 simplex-grid coordinate descent as an independent upper-bound check, and a
 binary search inverts the curve into precision-versus-overlap form.
+
+The kets, Born tables, joint weights and LP are plain Python (complex and
+float tuples, Fraction lists); numpy is imported inside the grid descent
+only, so the exact path and `cat_fixture` never load it.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import roots
 from .errors import DimensionMismatch, DomainError, NormalizationError, SizeLimit
@@ -52,19 +54,16 @@ class Ket:
     def dim(self) -> int:
         return len(self.amplitudes)
 
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.amplitudes, dtype=complex)
-
 
 def inner(a: Ket, b: Ket) -> complex:
     """Sesquilinear inner product, conjugate-linear in the first argument."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"dims {a.dim} != {b.dim}")
-    return complex(np.vdot(a.vector(), b.vector()))
+    return sum((x.conjugate() * y for x, y in zip(a.amplitudes, b.amplitudes)), 0j)
 
 
 def tensor(a: Ket, b: Ket) -> Ket:
-    return Ket(amplitudes=tuple(np.kron(a.vector(), b.vector())))
+    return Ket(amplitudes=tuple(x * y for x in a.amplitudes for y in b.amplitudes))
 
 
 @dataclass(frozen=True)
@@ -88,10 +87,10 @@ class MeasurementBasis:
         return self.vectors[0].dim
 
 
-def born_prob(state: Ket, basis: MeasurementBasis) -> np.ndarray:
+def born_prob(state: Ket, basis: MeasurementBasis) -> tuple[float, ...]:
     if state.dim != basis.dim:
         raise DimensionMismatch(f"state dim {state.dim} != basis dim {basis.dim}")
-    return np.array([abs(inner(v, state)) ** 2 for v in basis.vectors])
+    return tuple(abs(inner(v, state)) ** 2 for v in basis.vectors)
 
 
 KET0 = Ket((1 + 0j, 0j))
@@ -114,8 +113,8 @@ def product_preparations() -> tuple[Ket, ...]:
 
 
 def _superpose(a: Ket, b: Ket) -> Ket:
-    v = (a.vector() + b.vector()) / math.sqrt(2)
-    return Ket(amplitudes=tuple(v))
+    return Ket(amplitudes=tuple((x + y) / math.sqrt(2)
+                                for x, y in zip(a.amplitudes, b.amplitudes)))
 
 
 def pbr_basis() -> MeasurementBasis:
@@ -129,12 +128,10 @@ def pbr_basis() -> MeasurementBasis:
 
 
 @functools.cache
-def quantum_targets() -> np.ndarray:
-    """Born probabilities, rows = PREP_NAMES, columns = OUTCOME_NAMES; shared, read-only."""
+def quantum_targets() -> tuple[tuple[float, ...], ...]:
+    """Born probabilities, rows = PREP_NAMES, columns = OUTCOME_NAMES; shared, immutable."""
     basis = pbr_basis()
-    targets = np.array([born_prob(p, basis) for p in product_preparations()])
-    targets.setflags(write=False)
-    return targets
+    return tuple(born_prob(p, basis) for p in product_preparations())
 
 
 SINGLE_LABELS = ("lamA", "lamB", "lamC")
@@ -173,77 +170,89 @@ class OverlapFamily:
 JOINT_LABELS = tuple(f"{a}|{b}" for a in SINGLE_LABELS for b in SINGLE_LABELS)
 
 
-def _exact_joint_weights(family: OverlapFamily) -> np.ndarray:
+def _exact_joint_weights(family: OverlapFamily) -> list[list[Fraction]]:
     """Preparation-independent joint mu, rows = PREP_NAMES, columns = JOINT_LABELS:
     each row is the outer product of the two single-system distributions, in
     exact Fractions."""
     singles = {"0": family.mu_0, "+": family.mu_plus}
-    return np.array([[Fraction(a) * Fraction(b) for a in singles[left] for b in singles[right]]
-                     for left, right in (name.split(",") for name in PREP_NAMES)])
+    return [[Fraction(a) * Fraction(b) for a in singles[left] for b in singles[right]]
+            for left, right in (name.split(",") for name in PREP_NAMES)]
 
 
-def joint_weights(family: OverlapFamily) -> np.ndarray:
+def joint_weights(family: OverlapFamily) -> list[list[float]]:
     """The joint mu of _exact_joint_weights, each entry rounded to a float."""
-    return _exact_joint_weights(family).astype(float)
+    return [[float(x) for x in row] for row in _exact_joint_weights(family)]
 
 
 def forbidden_pairs() -> list[tuple[int, int]]:
     """(preparation, outcome) pairs whose Born target is an analytic zero."""
-    targets = quantum_targets()
-    return [(p, k) for p in range(targets.shape[0]) for k in range(targets.shape[1])
-            if targets[p, k] < FORBIDDEN_TOL]
+    return [(p, k) for p, row in enumerate(quantum_targets()) for k, target in enumerate(row)
+            if target < FORBIDDEN_TOL]
 
 
 @dataclass(frozen=True)
 class MinimaxResult:
     value: float
-    xi: np.ndarray  # rows = outcomes, columns = joint states
+    xi: tuple[tuple[float, ...], ...]  # rows = outcomes, columns = joint states
 
 
-def _minimax_lp(weights: np.ndarray, pairs: list[tuple[int, int]]) -> MinimaxResult:
+def _minimax_lp(weights: list[list[Fraction]]) -> MinimaxResult:
     """Exact LP optimum: minimize the largest forbidden-outcome probability.
 
-    Outcome k is charged c[k, lam] = max weights[p, lam] over its forbidden
-    pairs (p, k).  A joint state with an uncharged outcome puts its whole
-    response column there at no cost.  A state charged by every outcome then
-    carries every forbidden probability alone, so its best column is
-    xi[k] proportional to 1 / c[k], and the optimum is 1 / sum_k 1 / c[k] in
-    Fractions.  Two or more such states share the constraints: DomainError.
+    Outcome k is charged c[k][lam] = max weights[p][lam] over its forbidden
+    pairs (p, k).  A state charged by every outcome carries every forbidden
+    probability alone, so its best column is xi[k] proportional to
+    1 / c[k], and the optimum is 1 / sum_k 1 / c[k] in Fractions; two or
+    more such states share the constraints: DomainError.  Every other state
+    costs nothing.  One weighted by a single preparation takes that
+    preparation's Born row, which is zero on its forbidden outcomes, the
+    only ones charged there; the rest put their whole column on an
+    uncharged outcome.  So the witness meets the Born table wherever the
+    preparations' supports do not overlap.
     """
-    n_lam = weights.shape[1]
-    columns = [[max((Fraction(weights[p, lam]) for p, j in pairs if j == k), default=0)
+    targets, pairs = quantum_targets(), forbidden_pairs()
+    n_lam = len(weights[0])
+    charges = [[max((weights[p][lam] for p, j in pairs if j == k), default=0)
                 for k in range(4)] for lam in range(n_lam)]
-    full = [lam for lam, col in enumerate(columns) if 0 not in col]
+    full = [lam for lam, col in enumerate(charges) if 0 not in col]
     if len(full) > 1:
         raise DomainError(f"{len(full)} joint states are charged by every outcome")
-    xi = np.zeros((4, n_lam))
     value = Fraction(0)
-    for lam, col in enumerate(columns):
+    columns = []
+    for lam, col in enumerate(charges):
+        owners = [p for p, row in enumerate(weights) if row[lam] != 0]
         if lam in full:
-            inverse = [1 / c for c in col]
+            inverse = [1 / Fraction(c) for c in col]
             value = 1 / sum(inverse)
-            xi[:, lam] = [float(x * value) for x in inverse]
+            columns.append([float(x * value) for x in inverse])
+        elif len(owners) == 1:
+            columns.append(targets[owners[0]])
         else:
-            xi[col.index(0), lam] = 1.0
-    return MinimaxResult(value=float(value), xi=xi)
+            free = col.index(0)
+            columns.append([float(k == free) for k in range(4)])
+    return MinimaxResult(value=float(value), xi=tuple(zip(*columns)))
 
 
 def _simplex_grid(resolution: int, parts: int) -> np.ndarray:
     """Simplex points with coordinates in multiples of 1/resolution, one per
     row, in the lexicographic order of their stars-and-bars cut positions."""
+    import numpy as np
     cuts = np.array(list(itertools.combinations(range(resolution + parts - 1),
                                                 parts - 1)))
     counts = np.diff(cuts, axis=1, prepend=-1, append=resolution + parts - 1) - 1
     return counts / resolution
 
 
-def _minimax_grid(weights: np.ndarray, pairs: list[tuple[int, int]],
-                  resolution: int) -> MinimaxResult:
+def _minimax_grid(weights: list[list[Fraction]], resolution: int) -> MinimaxResult:
     """Coordinate descent over per-state response columns on a simplex grid.
 
     Upper-bounds the LP optimum; the gap is at most the grid spacing because
-    the objective is piecewise linear in each column.
+    the objective is piecewise linear in each column.  The weights are
+    rounded to floats once, here.
     """
+    import numpy as np
+    pairs = forbidden_pairs()
+    weights = np.array(weights, dtype=float)
     n_out = 4
     n_lam = weights.shape[1]
     xi = np.full((n_out, n_lam), 1.0 / n_out)
@@ -271,22 +280,8 @@ def _minimax_grid(weights: np.ndarray, pairs: list[tuple[int, int]],
                 changed = True
         if not changed:
             break
-    return MinimaxResult(value=float(np.max(pair_probs())), xi=xi)
-
-
-def _psi_ontic_witness(weights: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Response matrix matching the targets on every point-mass support.
-
-    Valid whenever each joint state carries weight under at most one
-    preparation (the q = 0 case); remaining columns default to uniform.
-    """
-    n_out, n_lam = targets.shape[1], weights.shape[1]
-    xi = np.full((n_out, n_lam), 1.0 / n_out)
-    for lam in range(n_lam):
-        owners = np.nonzero(weights[:, lam] > 0)[0]
-        if len(owners) == 1:
-            xi[:, lam] = targets[owners[0]]
-    return xi
+    return MinimaxResult(value=float(np.max(pair_probs())),
+                         xi=tuple(map(tuple, xi.tolist())))
 
 
 def min_forbidden_probability(q: float, resolution: int = 50,
@@ -304,18 +299,10 @@ def minimize_forbidden(q: float, resolution: int = 50,
         raise SizeLimit(f"grid resolution {resolution} > {MAX_GRID_RESOLUTION}")
     # exact weights: the LP value is then rounded once, from the exact optimum
     weights = _exact_joint_weights(OverlapFamily(q=q))  # validates q's domain
-    targets = quantum_targets()
-    pairs = forbidden_pairs()
     if method == "lp":
-        result = _minimax_lp(weights, pairs)
-        if q == 0.0:
-            # disjoint supports: rebuild the witness from the targets so it
-            # reproduces the full quantum table, not just the forbidden zeros
-            xi = _psi_ontic_witness(weights, targets)
-            result = MinimaxResult(value=result.value, xi=xi)
-        return result
+        return _minimax_lp(weights)
     if method == "grid":
-        return _minimax_grid(weights.astype(float), pairs, resolution)
+        return _minimax_grid(weights, resolution)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -323,20 +310,17 @@ def witness_model(q: float, resolution: int = 50, method: str = "lp") -> OntMode
     """Joint OntModel carrying the optimizing response and the Born targets."""
     weights = joint_weights(OverlapFamily(q=q))
     result = minimize_forbidden(q, resolution=resolution, method=method)
-    targets = quantum_targets()
     return OntModel(
         lam=LambdaSpace(labels=JOINT_LABELS),
-        preparations=tuple(EpistemicState(name=name, mu=tuple(row.tolist()))
+        preparations=tuple(EpistemicState(name=name, mu=tuple(row))
                            for name, row in zip(PREP_NAMES, weights)),
         measurements=(ResponseFunction(
             name="entangled-basis",
             outcomes=OUTCOME_NAMES,
-            xi=tuple(tuple(float(x) for x in row) for row in result.xi),
+            xi=result.xi,
         ),),
-        born_targets={
-            PREP_NAMES[p]: {"entangled-basis": tuple(float(x) for x in targets[p])}
-            for p in range(len(PREP_NAMES))
-        },
+        born_targets={name: {"entangled-basis": row}
+                      for name, row in zip(PREP_NAMES, quantum_targets())},
     )
 
 

@@ -445,7 +445,8 @@ def test_no_command_loads_scipy():
 
 
 def test_exact_commands_start_without_numpy():
-    # numpy is 70-125 ms of start-up; the exact gas commands never call it
+    # numpy is 70-125 ms of start-up; the exact gas commands and the pbr
+    # commands on their default LP path never call it
     script = (
         "import contextlib, io, sys\n"
         "import microcanon\n"
@@ -453,23 +454,26 @@ def test_exact_commands_start_without_numpy():
         "    return ['numpy' in sys.modules, 'microcanon.pbr' in sys.modules]\n"
         "bare = loaded()\n"
         "from microcanon import cli\n"
-        "exact, rest = sys.argv[1:4], sys.argv[4:]\n"
+        "gas, exact, rest = sys.argv[1:4], sys.argv[4:7], sys.argv[7:]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.run(argv.split()) for argv in exact]\n"
-        "    after_exact = loaded()\n"
+        "    codes = [cli.run(argv.split()) for argv in gas]\n"
+        "    after_gas = loaded()\n"
         "    names = [microcanon.pbr.__name__, microcanon.ensemble.__name__]\n"
+        "    codes += [cli.run(argv.split()) for argv in exact]\n"
+        "    after_exact = loaded()\n"
         "    codes += [cli.run(argv.split()) for argv in rest]\n"
-        "print(bare, after_exact, names, codes)\n"
+        "print(bare, after_gas, names, after_exact, codes)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, "gas enumerate --n 5 --m 4 --e 6",
          "gas measure --n 5 --m 4 --e 6", "gas solve --n 1000 --t 1",
+         "pbr demo --q-grid 0.5", "pbr scan --eps-grid 0,0.01", "pbr cat --a 0.6 --b 0.8",
          "gas sample --n 5 --m 3 --e 4 --steps 100 --seed 1", "gas argmax --n 5 --m 4 --e 6",
-         "pbr demo --q-grid 0.5", "pbr scan --eps-grid 0,0.01", "pbr cat --a 0.6 --b 0.8"],
+         "pbr demo --method grid --q-grid 0.5"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.stdout == ("[False, False] [False, False] ['microcanon.pbr', 'microcanon.ensemble'] "
-                           "[0, 0, 0, 0, 0, 0, 0, 0]\n")
+                           "[False, True] [0, 0, 0, 0, 0, 0, 0, 0, 0]\n")
     assert proc.stderr == ""
 
 

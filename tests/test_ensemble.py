@@ -311,6 +311,21 @@ class TestCountingGuards:
         with pytest.raises(SizeLimit, match="particles"):
             ensemble.total_multiplicity(big)
 
+    def test_bin_cap_comes_before_the_recurrence(self, monkeypatch):
+        # the recurrence pads its window to m entries, gigabytes at m = 10^9
+        def unreached(*args):
+            raise AssertionError("counting ran past the bin cap")
+        monkeypatch.setattr(ensemble, "_power_coefficients", unreached)
+        big, wide = ensemble.MAX_EXACT_PARTICLES + 1, ensemble.MAX_BINS + 1
+        with pytest.raises(InfeasibleEnergy):
+            ensemble.total_multiplicity(ensemble.GasSpec(n=big, m=wide, e_units=big * wide))
+        for spec in (ensemble.GasSpec(n=3, m=wide, e_units=2),
+                     ensemble.GasSpec(n=big, m=wide, e_units=big)):
+            with pytest.raises(SizeLimit, match=f"^more than {ensemble.MAX_BINS} bins$"):
+                ensemble.total_multiplicity(spec)
+            with pytest.raises(SizeLimit, match=f"^more than {ensemble.MAX_BINS} bins$"):
+                ensemble.walk_tv(spec, {})
+
 
 class TestBoltzmannFit:
     def test_constraints_satisfied(self):

@@ -22,6 +22,7 @@ def highs_minimax(weights, pairs):
     """The minimax LP solved in floats by scipy's HiGHS: an independent
     oracle for pbr._minimax_lp.  Variables are the 4 x L response matrix
     (flattened) and the bound t; each column lies on the simplex."""
+    weights = np.asarray(weights, dtype=float)
     n_out, n_lam = 4, weights.shape[1]
     n_var = n_out * n_lam + 1
     a_ub = np.zeros((len(pairs), n_var))
@@ -39,9 +40,10 @@ def highs_minimax(weights, pairs):
 
 def assert_achieves(result, weights, pairs):
     """xi is column-stochastic and its worst forbidden probability is the value."""
-    assert np.all(result.xi >= 0.0)
-    assert np.allclose(result.xi.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
-    worst = max(float(weights[p] @ result.xi[k]) for p, k in pairs)
+    xi, weights = np.asarray(result.xi), np.asarray(weights, dtype=float)
+    assert np.all(xi >= 0.0)
+    assert np.allclose(xi.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+    worst = max(float(weights[p] @ xi[k]) for p, k in pairs)
     assert worst == pytest.approx(result.value, rel=1e-12, abs=1e-300)
 
 
@@ -100,13 +102,14 @@ class TestBasis:
     def test_quantum_targets_table(self):
         # each row is a permutation of (0, 1/4, 1/4, 1/2) with the zero on
         # the diagonal and the 1/2 on the "mirror" outcome
+        # the forbidden entries are exact zeros, which the LP witness relies on
         targets = pbr.quantum_targets()
-        assert targets.shape == (4, 4)
-        assert np.allclose(targets.sum(axis=1), 1.0, atol=1e-12)
+        assert len(targets) == 4 and all(len(row) == 4 for row in targets)
+        assert np.allclose([sum(row) for row in targets], 1.0, atol=1e-12)
         for p in range(4):
-            assert targets[p, p] == pytest.approx(0.0, abs=1e-12)
-            assert targets[p, 3 - p] == pytest.approx(0.5, abs=1e-12)
-            others = [targets[p, k] for k in range(4) if k not in (p, 3 - p)]
+            assert targets[p][p] == 0.0
+            assert targets[p][3 - p] == pytest.approx(0.5, abs=1e-12)
+            others = [targets[p][k] for k in range(4) if k not in (p, 3 - p)]
             assert others == pytest.approx([0.25, 0.25], abs=1e-12)
 
     def test_forbidden_pairs_are_the_diagonal(self):
@@ -115,8 +118,8 @@ class TestBasis:
     def test_quantum_targets_computed_once_and_read_only(self):
         targets = pbr.quantum_targets()
         assert pbr.quantum_targets() is targets
-        with pytest.raises(ValueError):
-            targets[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            targets[0][0] = 1.0
         assert pbr.forbidden_pairs() == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
 
@@ -144,13 +147,13 @@ class TestOverlapFamily:
     def test_product_weights_are_outer_products(self):
         fam = pbr.OverlapFamily(q=0.4)
         weights = pbr.joint_weights(fam)
-        assert weights.shape == (4, 9)
+        assert len(weights) == 4 and all(len(row) == 9 for row in weights)
         singles = {"0": fam.mu_0, "+": fam.mu_plus}
         for r, name in enumerate(pbr.PREP_NAMES):
             left, right = name.split(",")
             assert np.allclose(
                 weights[r], np.outer(singles[left], singles[right]).ravel())
-            assert weights[r].sum() == pytest.approx(1.0)
+            assert sum(weights[r]) == pytest.approx(1.0)
 
 
 class TestMinimax:
@@ -172,9 +175,10 @@ class TestMinimax:
 
     def test_lp_witness_is_column_stochastic(self):
         res = pbr.minimize_forbidden(0.5)
-        assert res.xi.shape == (4, 9)
-        assert np.all(res.xi >= -1e-9)
-        assert np.allclose(res.xi.sum(axis=0), 1.0, atol=1e-9)
+        assert len(res.xi) == 4 and all(len(row) == 9 for row in res.xi)
+        xi = np.asarray(res.xi)
+        assert np.all(xi >= -1e-9)
+        assert np.allclose(xi.sum(axis=0), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize("q", [0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
     def test_grid_upper_bounds_lp(self, q):
@@ -201,7 +205,7 @@ class TestMinimax:
     def test_family_value_agrees_with_highs(self, q):
         weights = pbr.joint_weights(pbr.OverlapFamily(q=q))
         pairs = pbr.forbidden_pairs()
-        result = pbr._minimax_lp(weights, pairs)
+        result = pbr._minimax_lp(weights)
         assert result.value == pytest.approx(highs_minimax(weights, pairs), abs=1e-9)
         assert_achieves(result, weights, pairs)
 
@@ -210,7 +214,7 @@ class TestMinimax:
         rng = np.random.default_rng(seed)
         weights = one_fully_charged(rng, n_lam=int(rng.integers(1, 10)))
         pairs = pbr.forbidden_pairs()
-        result = pbr._minimax_lp(weights, pairs)
+        result = pbr._minimax_lp(weights)
         assert len(set(weights[:, -1])) == 4
         assert result.value > 0.0
         assert result.value == pytest.approx(highs_minimax(weights, pairs), abs=1e-9)
@@ -221,7 +225,7 @@ class TestMinimax:
         weights[0, 0] = 0.0
         weights[0, 1:] = 0.5
         with pytest.raises(DomainError):
-            pbr._minimax_lp(weights, pbr.forbidden_pairs())
+            pbr._minimax_lp(weights)
 
     def test_grid_resolution_cap(self):
         assert pbr.MAX_GRID_RESOLUTION > 60
@@ -249,6 +253,27 @@ class TestWitnessModel:
         info = ontology.information_class(model)
         assert info.verdict == ontology.VERDICT_MINIMAL
 
+    @pytest.mark.parametrize("q", [1e-6, 0.5])
+    def test_single_owner_columns_carry_the_born_row(self, q):
+        # a joint state only one preparation weights answers as that
+        # preparation would under quantum theory
+        weights = pbr.joint_weights(pbr.OverlapFamily(q=q))
+        xi = pbr.minimize_forbidden(q).xi
+        targets = pbr.quantum_targets()
+        owned = 0
+        for lam in range(len(pbr.JOINT_LABELS)):
+            owners = [p for p, row in enumerate(weights) if row[lam] > 0]
+            if len(owners) == 1:
+                owned += 1
+                assert tuple(row[lam] for row in xi) == targets[owners[0]]
+        assert owned == 4
+
+    def test_small_overlap_deviates_from_born_by_order_q(self):
+        # no jump at q = 0: the witness that meets the Born table there
+        # moves off it continuously
+        max_dev, _ = ontology.born_deviation(pbr.witness_model(1e-6))
+        assert max_dev <= 2e-6
+
     def test_completeness_on_random_product_states(self):
         # the entangled basis resolves every two-qubit product state
         rng = np.random.default_rng(5)
@@ -260,8 +285,8 @@ class TestWitnessModel:
                 raw /= np.linalg.norm(raw)
                 kets.append(pbr.Ket(tuple(raw)))
             probs = pbr.born_prob(pbr.tensor(*kets), basis)
-            assert probs.sum() == pytest.approx(1.0, abs=1e-10)
-            assert np.all(probs >= -1e-12)
+            assert sum(probs) == pytest.approx(1.0, abs=1e-10)
+            assert min(probs) >= -1e-12
 
 
 class TestTradeoff:
