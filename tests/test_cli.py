@@ -35,7 +35,10 @@ MARBLES = str(FIXTURES / "marbles.json")
 # at one bin, one particle, both energy ends, two and twelve bins, one
 # step and 255 to 70,000 particles, recorded from the release before the
 # walk kept its binning as one int; and the exit-1 gas sample case at
-# 10,001 bins, recorded when the walk began to apply MAX_BINS.
+# 10,001 bins, recorded when the walk began to apply MAX_BINS; and the
+# gas enumerate and argmax cases at m = 5 and 6 with a ground offset and
+# lattice step, recorded from the release before the emitter stopped
+# calling json.dumps.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
