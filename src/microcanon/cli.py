@@ -7,6 +7,14 @@ Exit codes: 0 success, 1 computation error (JSON diagnostic on stderr),
 
 The pbr module is imported by the pbr commands only, and of those only
 `--method grid` loads numpy.
+
+JSON is written by _json_value, a small recursive encoder that gives the
+bytes of json.dumps(obj, indent=2) for every document the commands build:
+str-keyed dicts, lists and tuples, str, None, bools, ints and floats (NaN
+and the infinities as json names them).  CPython's C encoder runs only
+when indent is None, so json.dumps(indent=2) takes the pure-Python
+encoder, which spends about 1.4 times as long on the binning tables of
+`gas enumerate` (see README, "Row costs").
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 from . import continuum, ensemble, ontology
@@ -31,11 +40,72 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# exact type -> text, for the leaves; subclasses take the isinstance chain
+_JSON_SCALARS = {str: _json_str, int: int.__repr__, float: _json_float,
+                 bool: {True: "true", False: "false"}.__getitem__,
+                 type(None): lambda _: "null"}
+
+
+def _json_value(obj, pad: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it; pad is the line break and
+    indentation of the line obj starts on.  Dict keys must be str."""
+    leaf = _JSON_SCALARS.get(type(obj))
+    if leaf:
+        return leaf(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if all(type(x) is int for x in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [enc(x) if (enc := _JSON_SCALARS.get(type(x))) else _json_value(x, inner)
+                     for x in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{" + inner + ("," + inner).join([
+            _json_str(k) + ": "
+            + (enc(v) if (enc := _JSON_SCALARS.get(type(v))) else _json_value(v, inner))
+            for k, v in obj.items()]) + pad + "}"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, int):  # bool is an exact type above
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _json_value(obj, "\n") + "\n"
 
 
 def _cell(value) -> str:
+    """A CSV cell: a float at 17 significant digits, a sequence as compact
+    JSON, anything else by str."""
+    kind = type(value)
+    if kind is float:
+        return f"{value:.17g}"
+    if kind is int or kind is str:
+        return str(value)
+    if kind is tuple and all(type(x) is int for x in value):
+        return "[" + ", ".join(map(int.__repr__, value)) + "]"
     if isinstance(value, float):
         return f"{value:.17g}"
     if isinstance(value, (tuple, list)):
@@ -84,10 +154,11 @@ def _unlimited_int_digits():
 
 def _emit_binnings(args, states) -> int:
     """One row per state: omega, entropy (k = 1) and mu = omega over the
-    sum of omega across the listed states, from one multiplicity each."""
-    omegas = [ensemble.multiplicity(s) for s in states]
+    sum of omega across the listed states, all from ensemble.multiplicities."""
+    omegas, log_omegas = ensemble.multiplicities(states)
     total = sum(omegas)
-    rows = [(s, omega, ensemble.entropy(s), omega / total) for s, omega in zip(states, omegas)]
+    rows = [(s, omega, log_omega, omega / total)
+            for s, omega, log_omega in zip(states, omegas, log_omegas)]
     with _unlimited_int_digits():
         return _emit_records(args, ("binning", "omega", "entropy", "mu"), rows, doc=lambda: [
             {"binning": n, "omega": omega, "log_omega": log_omega, "entropy": log_omega, "mu": mu}
@@ -123,7 +194,7 @@ def cmd_gas_sample(args) -> int:
     counts = ensemble.sample_microstates(spec, steps=args.steps, seed=args.seed)
     rows = sorted(counts.items())
     return _emit_records(args, ("binning", "count"), rows,
-                         doc=lambda: {json.dumps(n): count for n, count in rows})
+                         doc=lambda: {_cell(n): count for n, count in rows})
 
 
 def cmd_gas_measure(args) -> int:

@@ -324,7 +324,7 @@ def gas_model(spec: ensemble.GasSpec, max_states: int = ensemble.DEFAULT_STATE_C
     every binning state with its exact multiplicity."""
     states = tuple(ensemble.enumerate_binnings(spec, max_states=max_states))
     return GasOntModel(spec=spec, binnings=states,
-                       omegas=tuple(ensemble.multiplicity(s) for s in states))
+                       omegas=tuple(ensemble.multiplicities(states)[0]))
 
 
 def tagged_outcome_names(spec: ensemble.GasSpec) -> tuple[str, ...]:

@@ -47,7 +47,7 @@ class Ket:
 
     def __post_init__(self):
         norm = sum(abs(a) ** 2 for a in self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise NormalizationError(f"|amplitudes|^2 sums to {norm!r}")
 
     @property
@@ -368,7 +368,7 @@ def cat_fixture(a: complex, b: complex) -> CatFixture:
     supports stays disjoint.
     """
     wa, wb = abs(a) ** 2, abs(b) ** 2
-    if abs(wa + wb - 1.0) > NORM_TOL:
+    if not abs(wa + wb - 1.0) <= NORM_TOL:  # NaN fails too
         raise NormalizationError(f"|a|^2 + |b|^2 = {wa + wb!r}")
     space = LambdaSpace(labels=CAT_LABELS)
     preps = (

@@ -38,7 +38,8 @@ MARBLES = str(FIXTURES / "marbles.json")
 # 10,001 bins, recorded when the walk began to apply MAX_BINS; and the
 # gas enumerate and argmax cases at m = 5 and 6 with a ground offset and
 # lattice step, recorded from the release before the emitter stopped
-# calling json.dumps.
+# calling json.dumps; and the exit-1 pbr cat case at a NaN amplitude,
+# recorded when cat_fixture began to reject a NaN norm.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want

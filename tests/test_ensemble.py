@@ -146,6 +146,26 @@ class TestMultiplicity:
         with pytest.raises(ValueError):
             ensemble.entropy(s, k=0.0)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_table_rows_match_the_factorial_quotient(self, m):
+        # every binning with N <= 9: Omega equals N! // prod(n_i!), and
+        # ln Omega equals entropy's float bit for bit
+        for n in range(1, 10):
+            for e in range(n * (m - 1) + 1):
+                states = ensemble.enumerate_binnings(ensemble.GasSpec(n=n, m=m, e_units=e))
+                omegas, log_omegas = ensemble.multiplicities(states)
+                assert omegas == [math.factorial(n) // math.prod(map(math.factorial, s))
+                                  for s in states]
+                assert omegas == [ensemble.multiplicity(s) for s in states]
+                assert [x.hex() for x in log_omegas] == [ensemble.entropy(s).hex() for s in states]
+
+    def test_table_rows_at_large_n(self):
+        states = ensemble.enumerate_binnings(ensemble.GasSpec(n=300, m=3, e_units=300))
+        omegas, log_omegas = ensemble.multiplicities(states)
+        assert omegas == [math.factorial(300) // math.prod(map(math.factorial, s)) for s in states]
+        assert [x.hex() for x in log_omegas] == [ensemble.entropy(s).hex() for s in states]
+        assert ensemble.multiplicities([]) == ([], [])
+
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5))
     def test_permutation_invariance(self, occ):
         # Omega depends only on the multiset of occupancies, and equals

@@ -63,6 +63,11 @@ class TestKets:
         with pytest.raises(NormalizationError):
             pbr.Ket((1 + 0j, 1 + 0j))
 
+    @pytest.mark.parametrize("amplitudes", [(complex("nan"), 0j), (1 + 0j, complex("nan"))])
+    def test_nan_norm_rejected(self, amplitudes):
+        with pytest.raises(NormalizationError):
+            pbr.Ket(amplitudes)
+
     def test_inner_product(self):
         assert pbr.inner(pbr.KET0, pbr.KET1) == 0
         assert pbr.inner(pbr.KET0, pbr.KET_PLUS) == pytest.approx(1 / math.sqrt(2))
@@ -341,6 +346,11 @@ class TestCatFixture:
     def test_unnormalized_rejected(self):
         with pytest.raises(NormalizationError):
             pbr.cat_fixture(1.0, 1.0)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (0.6, complex(0.8, math.nan))])
+    def test_nan_amplitude_rejected(self, a, b):
+        with pytest.raises(NormalizationError):
+            pbr.cat_fixture(a, b)
 
     @given(st.floats(min_value=0.01, max_value=0.99),
            st.floats(min_value=0.0, max_value=2 * math.pi))

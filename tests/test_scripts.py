@@ -31,3 +31,23 @@ def test_gas_equilibrium_demo():
     lines = run_script("gas_equilibrium_demo.py")
     assert lines[0] == "n,states,argmax_mass,peak_delta,max_fit_gap"
     assert [int(line.split(",")[0]) for line in lines[1:]] == [3, 9, 30, 90, 300, 1000, 3000, 10000]
+
+
+def test_cli_sweep_digest_repeats():
+    first = run_script("cli_sweep.py")
+    assert first == run_script("cli_sweep.py")
+    assert first[0].startswith("calls ") and int(first[0].split()[1]) > 600
+    assert len(first) == 2 and len(first[1]) == len("sha256 ") + 64
+
+
+def test_cli_sweep_covers_the_gas_exact_rounds(tmp_path, monkeypatch):
+    # the sweep copies the round generator instead of importing bench/
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "bench"))
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import cli_sweep
+    import workloads
+    sweep = cli_sweep.calls()
+    for seed in range(1, 9):
+        ops = workloads.build("gas-exact", seed, str(tmp_path)).ops
+        assert sorted(op.argv for op in ops) == sorted(cli_sweep.gas_exact_calls(seed))
+        assert all(op.argv in sweep for op in ops)
