@@ -93,11 +93,10 @@ def gas_specs() -> list[list[str]]:
         top = n * (m - 1)
         for e in sorted({0, top // 2, top, top + 1}):
             specs.append(["--n", str(n), "--m", str(m), "--e", str(e)])
-    for extra in (["--eps0-units", "1"], ["--delta", "0.1"], ["--delta", "1e308"],
-                  ["--delta", "nan"]):
-        specs.append(["--n", "5", "--m", "4", "--e", "7" if extra[0] == "--eps0-units" else "6"]
-                     + extra)
-    return specs
+    return specs + [["--n", "5", "--m", "4", "--e", "7", "--eps0-units", "1"],
+                    ["--n", "5", "--m", "4", "--e", "6", "--delta", "0.1"],
+                    ["--n", "5", "--m", "4", "--e", "6", "--delta", "1e308"],
+                    ["--n", "5", "--m", "4", "--e", "6", "--delta", "nan"]]
 
 
 def calls() -> list[list[str]]:
