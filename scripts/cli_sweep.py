@@ -6,7 +6,9 @@
 Every command runs in CSV, JSON and its default format, next to error
 cases (infeasible energies, state and size caps, NaN lattice steps, grids
 and amplitudes, broken model files, usage errors) and the calls of the
-benchmark's gas-exact rounds for seeds 1 to 8.  The script prints the call
+benchmark's gas-exact rounds for seeds 1 to 8.  `gas fit` also runs at
+m = 40 and 1000, and `ontology validate` and `check` on a 300-state model,
+so that the last bits of the fit's sums and of the outcome law show.  The script prints the call
 count and one sha256 over each call's argv, exit code, stdout and stderr.
 Two checkouts print the same digest when every call gives the same bytes;
 to compare one with another, copy this file into the other's scripts/ and
@@ -22,6 +24,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -46,6 +49,36 @@ BROKEN_MODELS = {
                       ' "measurements": [{"name": "M", "outcomes": ["x", "y"],'
                       ' "xi": [[1.0, 0.0], [0.0]]}]}',
 }
+
+
+def large_model() -> dict:
+    """A 300-state model with Born targets, drawn from a fixed seed: six
+    preparations, four measurements of 2 to 5 outcomes.  Three columns of
+    the first measurement are broken (scaled by 1.01, one outcome negative,
+    all -0.0), so validate prints column sums."""
+    rng = random.Random("cli-sweep-model")
+    n_lam = 300
+    preparations = []
+    for p in range(6):
+        w = [rng.uniform(0.05, 1.0) if rng.random() < 0.5 else 0.0 for _ in range(n_lam)]
+        preparations.append({"name": f"P{p}", "mu": [x / sum(w) for x in w]})
+    measurements = []
+    for k, n_out in enumerate((2, 3, 4, 5)):
+        cols = []
+        for _ in range(n_lam):
+            w = [rng.uniform(0.05, 1.0) for _ in range(n_out)]
+            cols.append([x / sum(w) for x in w])
+        measurements.append({"name": f"M{k}", "outcomes": [f"o{j}" for j in range(n_out)],
+                             "xi": [[col[j] for col in cols] for j in range(n_out)]})
+    xi = measurements[0]["xi"]
+    xi[0][10], xi[1][10] = 1.01 * xi[0][10], 1.01 * xi[1][10]
+    xi[0][20], xi[1][20] = -xi[0][20], xi[1][20] + 2 * xi[0][20]
+    xi[0][30] = xi[1][30] = -0.0
+    targets = {p["name"]: {m["name"]: [math.fsum(x * q for x, q in zip(row, p["mu"]))
+                                       for row in m["xi"]] for m in measurements}
+               for p in preparations}
+    return {"lambda": [f"l{i}" for i in range(n_lam)], "preparations": preparations,
+            "measurements": measurements, "born_targets": targets}
 
 
 def gas_exact_calls(seed: int) -> list[list[str]]:
@@ -105,6 +138,9 @@ def calls() -> list[list[str]]:
     for spec in gas_specs():
         for command in ("enumerate", "argmax", "measure", "fit"):
             out += [["gas", command, *spec, *fmt] for fmt in FORMATS]
+    for spec in (["--n", "400", "--m", "40", "--e", "7000"],
+                 ["--n", "2000", "--m", "1000", "--e", "666000"]):
+        out += [["gas", "fit", *spec, *fmt] for fmt in FORMATS]
     out += [
         ["gas", "enumerate", "--n", "300", "--m", "3", "--e", "300", "--format", "json"],
         ["gas", "argmax", "--n", "300", "--m", "4", "--e", "450"],
@@ -123,7 +159,8 @@ def calls() -> list[list[str]]:
                   ["--n", "50", "--t", "2", "--k", "1.380649"],
                   ["--n=1e-320", "--t=inf"]):
         out += [["gas", "solve", *solve, *fmt] for fmt in FORMATS]
-    models = ["marbles.json", "invalid_model.json", *BROKEN_MODELS, "missing.json"]
+    models = ["marbles.json", "invalid_model.json", *BROKEN_MODELS, "missing.json",
+              "large_model.json"]
     for model in models:
         for command in ("validate", "check", "classify"):
             out += [["ontology", command, model, *fmt] for fmt in FORMATS]
@@ -167,6 +204,7 @@ def main() -> int:
         shutil.copy(ROOT / "tests" / "data" / "invalid_model.json", tmp)
         for name, text in BROKEN_MODELS.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
+        Path(tmp, "large_model.json").write_text(json.dumps(large_model()), encoding="utf-8")
         os.chdir(tmp)
         try:
             for argv in sweep:

@@ -5,8 +5,9 @@ formatted at 17 significant digits, CSV with '.' decimals and LF endings.
 Exit codes: 0 success, 1 computation error (JSON diagnostic on stderr),
 2 usage error.
 
-The pbr module is imported by the pbr commands only, and of those only
-`--method grid` loads numpy.
+The pbr module is imported by the pbr commands only.  Two calls load
+numpy: `gas sample`, for the walk's random generator, and the pbr commands
+with `--method grid`, for the grid descent.
 
 JSON is written by _json_value, a small recursive encoder that gives the
 bytes of json.dumps(obj, indent=2) for every document the commands build:

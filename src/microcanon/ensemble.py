@@ -7,10 +7,10 @@ multiplicity Omega = N! / prod(n_i!) counts the microstates it contains.
 Everything here is exact (integer lattice, arbitrary-precision Omega) so
 that enumeration-based oracles can check it bin by bin.
 
-numpy is imported inside the functions that use it (the Boltzmann fit, the
-bin energies and the microstate walk), so enumeration, multiplicities and
-the tagged-particle law run without it; the argmax search starts from the
-fit, so it loads numpy.
+numpy is imported only inside the microstate walk, for its random
+generator.  The Boltzmann fit sums its m weights with math.exp and builtin
+sums, so every other function, the argmax search (which starts from the
+fit) included, runs without it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,13 @@ from .errors import DegenerateEnergy, DomainError, InfeasibleEnergy, NoConvergen
 
 DEFAULT_STATE_CAP = 1_000_000
 BETA_TOL = 1e-14  # bracket width of the reduced beta = beta * delta
+FIT_RTOL = 1e-10  # relative error the fit may leave in either constraint
 MAX_BINS = 10_000  # enumeration keeps a stack m deep; it and the microstate walk build m-tuples
 MAX_EXACT_PARTICLES = 20_000  # counting core; its longest recurrence at the default cap, m = 3 and E = N, takes 0.4 s
+# Recurrence steps times the bits of its coefficients, at 0.55-0.75 ns each:
+# about 0.7 s.  The largest call the default cap admits, (N, m, E) =
+# (20000, 3, 20000), is 6.3e8.
+MAX_RECURRENCE_STEP_BITS = 10 ** 9
 MAX_WALK_STEPS = 10 ** 9  # about 8 minutes of walk at 0.47 us per step (n = 18, m = 5)
 MAX_WALK_PARTICLES = 10 ** 7  # the walk's per-particle level list, about 80 MB
 _CHUNK = 65_536  # random draws per numpy call in the walk
@@ -84,9 +89,8 @@ class GasSpec:
         return (self.eps0_units + i) * self.delta
 
     @property
-    def energies(self) -> np.ndarray:
-        import numpy as np
-        return (self.eps0_units + np.arange(self.m)) * self.delta
+    def energies(self) -> tuple[float, ...]:
+        return tuple(map(self.energy, range(self.m)))
 
     @property
     def total_energy(self) -> float:
@@ -198,14 +202,15 @@ def _count_binnings(spec: GasSpec, cap: int) -> int:
     return count
 
 
-def _require_countable(spec: GasSpec, max_states: int):
+def _require_countable(spec: GasSpec, max_states: int) -> int | None:
     """The counting core's guards, in order, all before a binning is built.
 
     InfeasibleEnergy, then SizeLimit past MAX_BINS bins, past `max_states`
     binnings and past MAX_EXACT_PARTICLES particles.  The binning cap needs
     no count when C(n+m-1, m-1), the number of occupancy vectors with the
     energy ignored, is within it; the running C(n+k, k) grows with k, so
-    its loop stops at the first value past the cap.
+    its loop stops at the first value past the cap.  Returns the binning
+    count when the cap needed it, else None.
     """
     spec.require_feasible()
     if spec.m > MAX_BINS:
@@ -215,20 +220,23 @@ def _require_countable(spec: GasSpec, max_states: int):
         vectors = vectors * (spec.n + k) // k
         if vectors > max_states:
             break
-    if vectors > max_states and _count_binnings(spec, max_states) > max_states:
+    count = _count_binnings(spec, max_states) if vectors > max_states else None
+    if count is not None and count > max_states:
         raise SizeLimit(f"more than {max_states} binning states")
     if spec.n > MAX_EXACT_PARTICLES:
         raise SizeLimit(f"more than {MAX_EXACT_PARTICLES} particles")
+    return count
 
 
 def count_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> int:
     """Number of binning states, counted without building one.
 
     Guards as for enumerate_binnings, so it raises or succeeds where
-    enumeration does and then equals len(enumerate_binnings(spec)).
+    enumeration does and then equals len(enumerate_binnings(spec)).  The
+    count is walked once: by the guard when the cap needs it, else here.
     """
-    _require_countable(spec, max_states)
-    return _count_binnings(spec, max_states)
+    count = _require_countable(spec, max_states)
+    return _count_binnings(spec, max_states) if count is None else count
 
 
 def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
@@ -315,9 +323,13 @@ def _tagged_counts(spec: GasSpec) -> list[int]:
     palindromic, c_j = c_{D-j} with D = (N-1)(m-1), so the recurrence runs
     from whichever end is nearer: to degree E, or to degree D-E+m-1 and read
     c_{D-E+i}.  Its length is at most N(m-1)/2 + m, at the middle energy.
+    Each step costs about the bits of a coefficient, at most (N-1) log2 m,
+    so past MAX_RECURRENCE_STEP_BITS it raises SizeLimit before the first.
     """
     n, m, e = spec.n, spec.m, spec.excess_units
     mirror = (n - 1) * (m - 1) - e     # c_{E-i} = c_{mirror+i}
+    if min(e, mirror + m - 1) * (n - 1) * math.log2(m) > MAX_RECURRENCE_STEP_BITS:
+        raise SizeLimit(f"more than {MAX_RECURRENCE_STEP_BITS} recurrence step-bits")
     if e <= mirror + m - 1:
         return _power_coefficients(n, m, e)[::-1]
     return _power_coefficients(n, m, mirror + m - 1)
@@ -460,13 +472,20 @@ def _outward(score, choices: range, start: int, limit):
 
 
 def _mean_index(b: float, m: int) -> float:
-    """Mean bin index under weights exp(-b*i), i = 0..m-1, overflow-safe."""
-    import numpy as np
-    i = np.arange(m)
-    x = -b * i
-    x -= x.max()
-    w = np.exp(x)
-    return float((i * w).sum() / w.sum())
+    """Mean bin index under weights exp(-b*i), i = 0..m-1, overflow-safe.
+
+    Weights are taken relative to the largest, at i = 0 or m-1, and summed
+    outward from it up to the first that underflows to 0.0, as all after it do.
+    """
+    order = range(m) if b >= 0 else range(m - 1, -1, -1)
+    total = weighted = 0.0
+    for i in order:
+        w = math.exp(-b * (i - order[0]))
+        if w == 0.0:
+            break
+        total += w
+        weighted += i * w
+    return weighted / total
 
 
 def _solve_reduced_beta(target: float, m: int) -> float:
@@ -487,12 +506,6 @@ def _solve_reduced_beta(target: float, m: int) -> float:
     raise NoConvergence(f"no sign change in b=[{lo}, {hi}]")
 
 
-def _logsumexp(x: np.ndarray) -> float:
-    import numpy as np
-    c = x.max()
-    return float(c + np.log(np.exp(x - c).sum()))
-
-
 def boltzmann_fit(spec: GasSpec, stirling_variant: str = STIRLING_MLNM_MINUS_M) -> BoltzmannFit:
     """Fit n_i = exp(-alpha) exp(-beta eps_i) to both lattice constraints.
 
@@ -501,7 +514,6 @@ def boltzmann_fit(spec: GasSpec, stirling_variant: str = STIRLING_MLNM_MINUS_M) 
     Stirling variants change the stationarity condition only through a
     constant that alpha absorbs, so they must land on the same beta.
     """
-    import numpy as np
     spec.require_feasible()
     excess = spec.excess_units
     if spec.m == 1 or excess == 0 or excess == spec.n * (spec.m - 1):
@@ -518,32 +530,31 @@ def boltzmann_fit(spec: GasSpec, stirling_variant: str = STIRLING_MLNM_MINUS_M) 
 
     eps = spec.energies
     # normalization constant via log-sum-exp; the variant shifts alpha only
-    log_z = _logsumexp(-beta * eps)
+    top = max(-beta * e for e in eps)
+    log_z = top + math.log(sum(math.exp(-beta * e - top) for e in eps))
     if stirling_variant == STIRLING_MLNM_MINUS_M:
         # stationarity ln n_i + alpha + beta eps_i = 0
         alpha = log_z - math.log(spec.n)
-        predicted = spec.n * np.exp(-beta * eps - log_z)
+        predicted = tuple(spec.n * math.exp(-beta * e - log_z) for e in eps)
     elif stirling_variant == STIRLING_MLNM:
         # stationarity ln n_i + 1 + alpha + beta eps_i = 0
         alpha = log_z - math.log(spec.n) - 1.0
-        predicted = np.exp(-1.0 - alpha - beta * eps)
+        predicted = tuple(math.exp(-1.0 - alpha - beta * e) for e in eps)
     else:
         raise ValueError(f"unknown Stirling variant {stirling_variant!r}")
 
-    fit = BoltzmannFit(alpha=alpha, beta=beta, predicted=tuple(float(x) for x in predicted),
+    fit = BoltzmannFit(alpha=alpha, beta=beta, predicted=predicted,
                        stirling_variant=stirling_variant)
     _check_fit(spec, fit)
     return fit
 
 
-def _check_fit(spec: GasSpec, fit: BoltzmannFit, rtol: float = 1e-10):
-    import numpy as np
-    pred = np.asarray(fit.predicted)
-    n_err = abs(pred.sum() - spec.n)
-    e_err = abs(float(pred @ spec.energies) - spec.total_energy)
-    if n_err > rtol * spec.n:
+def _check_fit(spec: GasSpec, fit: BoltzmannFit):
+    n_err = abs(sum(fit.predicted) - spec.n)
+    e_err = abs(sum(p * e for p, e in zip(fit.predicted, spec.energies)) - spec.total_energy)
+    if n_err > FIT_RTOL * spec.n:
         raise NoConvergence(f"particle constraint off by {n_err}")
-    if spec.total_energy > 0 and e_err > rtol * spec.total_energy:
+    if spec.total_energy > 0 and e_err > FIT_RTOL * spec.total_energy:
         raise NoConvergence(f"energy constraint off by {e_err}")
 
 

@@ -16,15 +16,13 @@ The gas bridge turns a lattice gas spec into such a model: ontic states are
 the binning states, mu is proportional to multiplicity (uniform over
 microstates), and the one measurement is the energy of a single tagged
 particle, xi[eps_i, lam] = n_i / N.  All of that is exact in rationals.
-
-numpy is imported inside the two functions that use it, validate and
-outcome_distribution, so the gas bridge starts without it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,7 +104,6 @@ class Violation:
 
 def validate(model: OntModel) -> list[Violation]:
     """Every violated invariant with its magnitude; empty list means valid."""
-    import numpy as np
     out: list[Violation] = []
     n_lam = model.lam.size
     for p in model.preparations:
@@ -126,25 +123,27 @@ def validate(model: OntModel) -> list[Violation]:
         if abs(total - 1.0) > PROB_TOL:
             out.append(Violation(f"preparation {p.name}", f"sum(mu) = {total!r}", abs(total - 1.0)))
     for m in model.measurements:
-        # row lengths are checked before numpy sees them: a ragged xi has no array shape
         if not m.xi or len(m.xi) != len(m.outcomes) or any(len(r) != n_lam for r in m.xi):
             out.append(Violation(f"measurement {m.name}", "xi shape != (outcomes, lambda)", 0.0))
             continue
-        rows = np.asarray(m.xi, dtype=float)
-        nonfinite = int(np.count_nonzero(~np.isfinite(rows)))
+        nonfinite = n_lam * len(m.xi) - sum(sum(map(math.isfinite, row)) for row in m.xi)
         if nonfinite:
             out.append(Violation(f"measurement {m.name}", "non-finite xi entries",
                                  float(nonfinite)))
             continue
-        if (rows < -PROB_TOL).any() or (rows > 1 + PROB_TOL).any():
-            worst = max(float((-rows).max()), float((rows - 1).max()))
-            out.append(Violation(f"measurement {m.name}", "xi entries outside [0, 1]", worst))
-        col = rows.sum(axis=0)
-        bad = np.abs(col - 1.0) > PROB_TOL
-        for j in np.nonzero(bad)[0]:
-            out.append(Violation(f"measurement {m.name}",
-                                 f"column {model.lam.labels[j]} sums to {float(col[j])!r}",
-                                 abs(float(col[j]) - 1.0)))
+        low, high = min(map(min, m.xi)), max(map(max, m.xi))
+        if low < -PROB_TOL or high > 1 + PROB_TOL:
+            out.append(Violation(f"measurement {m.name}", "xi entries outside [0, 1]",
+                                 float(max(-low, high - 1))))
+        # row by row from 0.0, the order and start of numpy's column sums, on
+        # every Python version (sum() compensates float sums from 3.12 on)
+        col = (0.0,) * n_lam
+        for row in m.xi:
+            col = tuple(map(operator.add, col, row))
+        for label, total in zip(model.lam.labels, col):
+            if abs(total - 1.0) > PROB_TOL:
+                out.append(Violation(f"measurement {m.name}",
+                                     f"column {label} sums to {total!r}", abs(total - 1.0)))
     if model.born_targets is not None:
         for pname, per_meas in model.born_targets.items():
             for mname, probs in per_meas.items():
@@ -175,9 +174,8 @@ def _require_mu_fits(model: OntModel, p: EpistemicState):
             f"preparation {p.name} has {len(p.mu)} mu entries over {model.lam.size} states")
 
 
-def outcome_distribution(model: OntModel, prep: str, meas: str) -> np.ndarray:
-    """P(outcome k) = sum_lam xi[k, lam] mu[lam]."""
-    import numpy as np
+def outcome_distribution(model: OntModel, prep: str, meas: str) -> tuple[float, ...]:
+    """P(outcome k) = sum_lam xi[k, lam] mu[lam], summed in lambda order."""
     p = model.preparation(prep)
     m = model.measurement(meas)
     _require_mu_fits(model, p)
@@ -185,7 +183,7 @@ def outcome_distribution(model: OntModel, prep: str, meas: str) -> np.ndarray:
     if len(m.xi) != len(m.outcomes) or any(len(row) != n_lam for row in m.xi):
         raise DimensionMismatch(f"measurement {meas}: xi shape != ({len(m.outcomes)} outcomes, "
                                 f"{n_lam} states)")
-    return np.asarray(m.xi, dtype=float) @ np.asarray(p.mu, dtype=float)
+    return tuple(sum(map(operator.mul, row, p.mu)) for row in m.xi)
 
 
 @dataclass(frozen=True)

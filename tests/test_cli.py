@@ -39,7 +39,9 @@ MARBLES = str(FIXTURES / "marbles.json")
 # gas enumerate and argmax cases at m = 5 and 6 with a ground offset and
 # lattice step, recorded from the release before the emitter stopped
 # calling json.dumps; and the exit-1 pbr cat case at a NaN amplitude,
-# recorded when cat_fixture began to reject a NaN norm.
+# recorded when cat_fixture began to reject a NaN norm.  The gas fit cases
+# at (60, 4, 75) and (400, 40, 7000) were re-recorded when the fit moved
+# from numpy to math.exp and builtin sums, which changed their last digits.
 # "{repo}" in an argv stands for the repository root.
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = {argv: want
@@ -448,37 +450,43 @@ def test_no_command_loads_scipy():
     assert proc.stderr == ""
 
 
-def test_exact_commands_start_without_numpy():
-    # numpy is 70-125 ms of start-up; the exact gas commands and the pbr
-    # commands on their default LP path never call it
+def loaded_after(*argvs: str) -> list:
+    """[exit code, numpy loaded, microcanon.pbr loaded] after `import microcanon`
+    (code None) and after each CLI call in turn, all in one fresh process."""
     script = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "import microcanon\n"
-        "def loaded():\n"
-        "    return ['numpy' in sys.modules, 'microcanon.pbr' in sys.modules]\n"
-        "bare = loaded()\n"
+        "def loaded(code):\n"
+        "    return [code, 'numpy' in sys.modules, 'microcanon.pbr' in sys.modules]\n"
+        "trace = [loaded(None)]\n"
         "from microcanon import cli\n"
-        "gas, exact, rest = sys.argv[1:4], sys.argv[4:7], sys.argv[7:]\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [cli.run(argv.split()) for argv in gas]\n"
-        "    after_gas = loaded()\n"
-        "    names = [microcanon.pbr.__name__, microcanon.ensemble.__name__]\n"
-        "    codes += [cli.run(argv.split()) for argv in exact]\n"
-        "    after_exact = loaded()\n"
-        "    codes += [cli.run(argv.split()) for argv in rest]\n"
-        "print(bare, after_gas, names, after_exact, codes)\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        trace.append(loaded(cli.run(argv.split())))\n"
+        "trace.append([microcanon.pbr.__name__, microcanon.ensemble.__name__])\n"
+        "print(json.dumps(trace))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script, "gas enumerate --n 5 --m 4 --e 6",
-         "gas measure --n 5 --m 4 --e 6", "gas solve --n 1000 --t 1",
-         "pbr demo --q-grid 0.5", "pbr scan --eps-grid 0,0.01", "pbr cat --a 0.6 --b 0.8",
-         "gas sample --n 5 --m 3 --e 4 --steps 100 --seed 1", "gas argmax --n 5 --m 4 --e 6",
-         "pbr demo --method grid --q-grid 0.5"],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.stdout == ("[False, False] [False, False] ['microcanon.pbr', 'microcanon.ensemble'] "
-                           "[False, True] [0, 0, 0, 0, 0, 0, 0, 0, 0]\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argvs],
+                          capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
+    return json.loads(proc.stdout)
+
+
+def test_exact_commands_start_without_numpy():
+    # numpy is 70-125 ms of start-up; only the walk's generator and the grid
+    # descent call it, so every other command, the Boltzmann fit and the
+    # ontology checks included, runs without it
+    names = ["microcanon.pbr", "microcanon.ensemble"]
+    exact = ["gas enumerate --n 5 --m 4 --e 6", "gas measure --n 5 --m 4 --e 6",
+             "gas solve --n 1000 --t 1", "gas fit --n 60 --m 4 --e 75",
+             "gas argmax --n 5 --m 4 --e 6", f"ontology validate {MARBLES}",
+             f"ontology check {MARBLES}"]
+    lp = ["pbr demo --q-grid 0.5", "pbr scan --eps-grid 0,0.01", "pbr cat --a 0.6 --b 0.8"]
+    assert loaded_after(*exact, *lp, "gas sample --n 5 --m 3 --e 4 --steps 100 --seed 1") == [
+        [None, False, False], *[[0, False, False]] * 7, *[[0, False, True]] * 3,
+        [0, True, True], names]
+    assert loaded_after("pbr demo --method grid --q-grid 0.5") == [
+        [None, False, False], [0, True, True], names]
 
 
 def run_code(argv: list[str]) -> int:

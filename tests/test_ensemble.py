@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 from microcanon import ensemble, ontology
 from microcanon.errors import DegenerateEnergy, DomainError, InfeasibleEnergy, SizeLimit
@@ -331,6 +333,45 @@ class TestCountingGuards:
         with pytest.raises(SizeLimit, match="particles"):
             ensemble.total_multiplicity(big)
 
+    def test_recurrence_budget_comes_before_the_first_step(self, monkeypatch):
+        # a cap above C(N+m-1, m-1) skips the count; 10^7 steps on numbers of
+        # up to 2e5 bits (2e12 step-bits) would run for minutes
+        def unreached(*args):
+            raise AssertionError("the recurrence ran past its budget")
+        monkeypatch.setattr(ensemble, "_power_coefficients", unreached)
+        spec = ensemble.GasSpec(n=20_000, m=1000, e_units=10 ** 7)
+        message = f"^more than {ensemble.MAX_RECURRENCE_STEP_BITS} recurrence step-bits$"
+        for call in (lambda: ensemble.tagged_law(spec, max_states=10 ** 4000),
+                     lambda: ensemble.total_multiplicity(spec),
+                     lambda: ensemble.walk_tv(spec, {})):
+            with pytest.raises(SizeLimit, match=message):
+                call()
+
+    @pytest.mark.parametrize("n,m,e", [(20_000, 3, 20_000), (20_000, 2, 10_000),
+                                       (20_000, 4, 3400)])
+    def test_recurrence_budget_admits_the_default_cap(self, n, m, e):
+        # the longest recurrences the default binning cap lets through
+        law = ensemble.tagged_law(ensemble.GasSpec(n=n, m=m, e_units=e))
+        assert sum(law) == 1
+
+    def test_count_binnings_walks_once(self, monkeypatch):
+        # C(15, 3) = 455 vectors: the guard counts below that cap, and hands
+        # its count back when it passes
+        spec = ensemble.GasSpec(n=12, m=4, e_units=15)
+        states = len(ensemble.enumerate_binnings(spec))
+        walks = []
+        walk = ensemble._count_binnings
+        monkeypatch.setattr(ensemble, "_count_binnings",
+                            lambda spec, cap: walks.append(cap) or walk(spec, cap))
+        for cap in (10 ** 6, states):
+            walks.clear()
+            assert ensemble.count_binnings(spec, max_states=cap) == states
+            assert walks == [cap]
+        walks.clear()
+        with pytest.raises(SizeLimit, match="binning states"):
+            ensemble.count_binnings(spec, max_states=states - 1)
+        assert walks == [states - 1]
+
     def test_bin_cap_comes_before_the_recurrence(self, monkeypatch):
         # the recurrence pads its window to m entries, gigabytes at m = 10^9
         def unreached(*args):
@@ -347,7 +388,41 @@ class TestCountingGuards:
                 ensemble.walk_tv(spec, {})
 
 
+def reference_beta(target: float, m: int) -> tuple[float, float]:
+    """Reduced beta with mean bin index `target` under weights exp(-b i), by
+    scipy's brentq on a logsumexp mean, and the index variance at that root.
+
+    A target above (m-1)/2 is reflected, b -> -b and i -> m-1-i, so the
+    mean is always read near its own end and keeps its relative precision.
+    """
+    i = np.arange(m, dtype=float)
+    flip = target > (m - 1) / 2
+    goal = (m - 1) - target if flip else target     # exact: both near m-1
+
+    def mean(c: float) -> float:
+        return float(np.exp(logsumexp(-c * i[1:], b=i[1:]) - logsumexp(-c * i)))
+
+    c = brentq(lambda c: mean(c) - goal, 0.0, 60.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    w = np.exp(-c * i - logsumexp(-c * i))
+    return (-c if flip else c), float(w @ (i - w @ i) ** 2)
+
+
 class TestBoltzmannFit:
+    @pytest.mark.parametrize("n,m", [(1000, 2), (100, 5), (400, 40), (2000, 1000),
+                                     (20_000, 10_000)])
+    def test_beta_matches_an_independent_root(self, n, m):
+        # energies one and two units from either end, and at a third and two
+        # thirds.  The fit's mean index is off by a few ulps of the target,
+        # which moves the root by that over the slope d(mean)/db = -variance;
+        # the bisection adds its bracket width.
+        top = n * (m - 1)
+        for e in (1, 2, top // 3, 2 * top // 3, top - 2, top - 1):
+            spec = ensemble.GasSpec(n=n, m=m, e_units=e)
+            root, variance = reference_beta(e / n, m)
+            tol = ensemble.BETA_TOL + 8 * 2 ** -53 * (e / n) / variance
+            for fit in ensemble.stirling_compare(spec):
+                assert abs(fit.beta - root) <= tol, (e, fit.stirling_variant)
+
     def test_constraints_satisfied(self):
         spec = ensemble.GasSpec(n=60, m=4, e_units=75)
         fit = ensemble.boltzmann_fit(spec)

@@ -1,6 +1,7 @@
 """Ontological-model validation, overlap taxonomy, and the gas bridge."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -98,7 +99,41 @@ class TestValidate:
         )
         assert ontology.validate(model) == []
         dist = ontology.outcome_distribution(model, "p", "m")
-        assert float(dist.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(dist) == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_all_negative_zero_column_sums_to_zero(self, marbles):
+        # column sums start from 0.0, as numpy's did: -0.0 + -0.0 reads 0.0
+        doc = ontology.model_to_dict(marbles)
+        for row in doc["measurements"][0]["xi"]:
+            row[0] = -0.0
+        viols = ontology.validate(ontology.model_from_dict(doc))
+        label = doc["lambda"][0]
+        assert [(v.message, v.magnitude) for v in viols] == [(f"column {label} sums to 0.0", 1.0)]
+
+
+class TestOutcomeDistribution:
+    @pytest.mark.parametrize("n_lam", [1, 3, 8, 50, 400])
+    def test_matches_exact_sums(self, n_lam):
+        # a sum of n non-negative products in order is within
+        # gamma_n = n u / (1 - n u) of the exact value (u = 2^-53): one to
+        # a few ulps for a handful of states
+        rng = random.Random(n_lam)
+        gamma = n_lam * 2 ** -53 / (1 - n_lam * 2 ** -53)
+        for _ in range(20):
+            mu = [rng.random() for _ in range(n_lam)]
+            mu = tuple(x / sum(mu) for x in mu)
+            xi = tuple(tuple(rng.random() for _ in range(n_lam)) for _ in range(4))
+            model = ontology.OntModel(
+                lam=ontology.LambdaSpace(labels=tuple(map(str, range(n_lam)))),
+                preparations=(ontology.EpistemicState(name="p", mu=mu),),
+                measurements=(ontology.ResponseFunction(name="m", outcomes=tuple("abcd"), xi=xi),),
+            )
+            dist = ontology.outcome_distribution(model, "p", "m")
+            assert type(dist) is tuple and len(dist) == 4
+            for got, row in zip(dist, xi):
+                exact = sum(Fraction(x) * Fraction(p) for x, p in zip(row, mu))
+                assert abs(Fraction(got) - exact) <= gamma * exact
 
 
 class TestBornDeviation:
