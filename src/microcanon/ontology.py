@@ -135,8 +135,8 @@ def validate(model: OntModel) -> list[Violation]:
         if low < -PROB_TOL or high > 1 + PROB_TOL:
             out.append(Violation(f"measurement {m.name}", "xi entries outside [0, 1]",
                                  float(max(-low, high - 1))))
-        # row by row from 0.0, the order and start of numpy's column sums, on
-        # every Python version (sum() compensates float sums from 3.12 on)
+        # row by row from 0.0, so an all -0.0 column sums to 0.0, and in one
+        # order on every Python version (sum() compensates floats from 3.12)
         col = (0.0,) * n_lam
         for row in m.xi:
             col = tuple(map(operator.add, col, row))
