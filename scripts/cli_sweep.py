@@ -2,6 +2,7 @@
 """Run a fixed list of CLI calls in-process and print one digest of their output.
 
     PYTHONPATH=src python3 scripts/cli_sweep.py
+    PYTHONPATH=src python3 scripts/cli_sweep.py guards
 
 Every command runs in CSV, JSON and its default format, next to error
 cases (infeasible energies, state and size caps, NaN lattice steps, grids
@@ -13,6 +14,10 @@ count and one sha256 over each call's argv, exit code, stdout and stderr.
 Two checkouts print the same digest when every call gives the same bytes;
 to compare one with another, copy this file into the other's scripts/ and
 run it against that checkout's src/.
+
+With the argument `guards` it runs the guard family instead: the binning
+cap at one below and at the count for 40 drawn specs, and specs past the
+particle cap, so that the order of the exact core's guards shows.
 
 The calls run in a temporary directory that holds the model files, so no
 path in an argv or a message depends on where the checkout lives.
@@ -32,7 +37,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from microcanon import cli
+from microcanon import cli, ensemble
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ([], ["--format", "csv"], ["--format", "json"])
@@ -184,6 +189,30 @@ def calls() -> list[list[str]]:
     return out
 
 
+def guard_calls() -> list[list[str]]:
+    """`gas enumerate`, `argmax` and `measure` at --max-states count - 1 and
+    count for 40 specs drawn from a fixed seed (N <= 30, m <= 8, offsets
+    0-2), the count from ensemble.count_binnings; then specs past
+    MAX_EXACT_PARTICLES (20,000), with and without a cap they pass."""
+    rng = random.Random("cli-sweep-guards")
+    out = []
+    for _ in range(40):
+        n, m, eps0_units = rng.randint(1, 30), rng.randint(1, 8), rng.randint(0, 2)
+        e = rng.randint(0, n * (m - 1)) + n * eps0_units
+        count = ensemble.count_binnings(
+            ensemble.GasSpec(n=n, m=m, e_units=e, eps0_units=eps0_units), max_states=10 ** 9)
+        for command in ("enumerate", "argmax", "measure"):
+            out += [["gas", command, "--n", str(n), "--m", str(m), "--e", str(e),
+                     "--eps0-units", str(eps0_units), "--max-states", str(cap)]
+                    for cap in (count - 1, count)]
+    for spec in (["--n", "200000000", "--m", "3", "--e", "200000000"],
+                 ["--n", "20001", "--m", "4", "--e", "20001", "--max-states", "10"],
+                 ["--n", "20001", "--m", "3", "--e", "5"],
+                 ["--n", "1000000", "--m", "2", "--e", "500000"]):
+        out += [["gas", command, *spec] for command in ("enumerate", "argmax", "measure")]
+    return out
+
+
 def record(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -196,7 +225,7 @@ def record(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> int:
-    sweep = calls()
+    sweep = guard_calls() if sys.argv[1:] == ["guards"] else calls()
     digest = hashlib.sha256()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

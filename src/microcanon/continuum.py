@@ -84,6 +84,8 @@ def solve_total_energy(gas: ContinuumGas) -> float:
         raise NoConvergence(f"residual non-negative at bracket start E1={lo} (n={gas.n}); "
                             "no physical root above eps0")
     hi = gas.eps0 + 2.0 * gas.n * (gas.t + gas.eps0)  # residual >= eps0 + N(T + eps0) > 0
+    if not math.isfinite(lo + hi):  # so is every midpoint the bisection takes
+        raise DomainError(f"E1 bracket [{lo}, {hi}] is not finite")
     lo, hi = roots.bisect(lambda e1: energy_residual(e1, gas) < 0, lo, hi,
                           lambda lo, hi: hi - lo <= E1_RTOL * max(1.0, abs(hi)))
     return 0.5 * (lo + hi)

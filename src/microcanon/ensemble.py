@@ -129,11 +129,6 @@ def _sole_tail(top: int, i: int, rem_n: int, rem_e: int) -> tuple[int, ...] | No
     return None
 
 
-def _sole_binning(spec: GasSpec) -> tuple[int, ...] | None:
-    """The one binning of a feasible spec with m <= 2, N = 1 or its excess at either end, else None."""
-    return _sole_tail(spec.m - 1, 0, spec.n, spec.excess_units)
-
-
 def _occupancies(top: int, i: int, rem_n: int, rem_e: int) -> range:
     """n_i that leave bins i+1..top able to carry the rest.
 
@@ -190,41 +185,59 @@ def _last_free_ranges(spec: GasSpec):
             stack.append(iter(_occupancies(top, i + 1, rem_n, rem_e)))
 
 
-def _count_binnings(spec: GasSpec, cap: int) -> int:
-    """Number of binnings, counted only until it passes `cap`."""
-    if _sole_binning(spec) is not None:
-        return 1
-    count = 0
-    for _, _, _, choices in _last_free_ranges(spec):
-        count += len(choices)
-        if count > cap:
-            break
-    return count
+def _binning_count(spec: GasSpec, cap: int) -> int:
+    """Number of binnings, or a lower bound on it once that passes `cap`.
 
-
-def _require_countable(spec: GasSpec, max_states: int) -> int | None:
-    """The counting core's guards, in order, all before a binning is built.
-
-    InfeasibleEnergy, then SizeLimit past MAX_BINS bins, past `max_states`
-    binnings and past MAX_EXACT_PARTICLES particles.  The binning cap needs
-    no count when C(n+m-1, m-1), the number of occupancy vectors with the
-    energy ignored, is within it; the running C(n+k, k) grows with k, so
-    its loop stops at the first value past the cap.  Returns the binning
-    count when the cap needed it, else None.
+    Binnings are the partitions of the excess that fit an a x b box, (a, b)
+    = sorted((N, m-1)), counted by the Gaussian binomial [a+b choose a]_q.
+    Its coefficients are symmetric and unimodal (Sylvester), so the count
+    at E equals the count at e = min(E, ab-E) and is at least the count at
+    d = min(e, b), which is p_a(d), the partitions of d into parts of at
+    most a.  One pass adds part sizes k = 1, 2, ... up to degree d and stops
+    once p_k(d) passes the cap.  At e > b, reached only when p_a(b) is
+    within the cap, a second pass runs to degree e and multiplies by
+    (1 - q^j) for b < j <= a+b.
     """
+    a, b = sorted((spec.n, spec.m - 1))
+    e = min(spec.excess_units, a * b - spec.excess_units)
+
+    for degree, stop in ((min(e, b), cap), (e, math.inf)):
+        poly = [1] + [0] * degree  # p_k(0..degree) for k = 1, 2, ..., min(a, degree)
+        for k in range(1, min(a, degree) + 1):
+            for d in range(k, degree + 1):
+                poly[d] += poly[d - k]
+            if poly[degree] > stop:
+                return poly[degree]
+        if degree == e:  # e <= b: the first pass reached e
+            break
+    for j in range(b + 1, min(a + b, e) + 1):  # none when e <= b
+        for d in range(e, j - 1, -1):
+            poly[d] -= poly[d - j]
+    return poly[e]
+
+
+def _require_exact(spec: GasSpec):
+    """InfeasibleEnergy, then SizeLimit past MAX_BINS bins and past MAX_EXACT_PARTICLES particles."""
     spec.require_feasible()
     if spec.m > MAX_BINS:
         raise SizeLimit(f"more than {MAX_BINS} bins")
-    vectors = 1
-    for k in range(1, spec.m):
-        vectors = vectors * (spec.n + k) // k
-        if vectors > max_states:
-            break
-    count = _count_binnings(spec, max_states) if vectors > max_states else None
-    if count is not None and count > max_states:
-        raise SizeLimit(f"more than {max_states} binning states")
     if spec.n > MAX_EXACT_PARTICLES:
         raise SizeLimit(f"more than {MAX_EXACT_PARTICLES} particles")
+
+
+def _require_countable(spec: GasSpec, max_states: int) -> int | None:
+    """_require_exact's guards, then SizeLimit past `max_states` binnings.
+
+    No count runs while C(N+m-1, m-1), the number of occupancy vectors with
+    the energy ignored, is within the cap; else _binning_count decides it,
+    listing no binning.  Returns the count when the cap needed it, else None.
+    """
+    _require_exact(spec)
+    if math.comb(spec.n + spec.m - 1, spec.m - 1) <= max_states:
+        return None
+    count = _binning_count(spec, max_states)
+    if count > max_states:
+        raise SizeLimit(f"more than {max_states} binning states")
     return count
 
 
@@ -232,22 +245,21 @@ def count_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> int:
     """Number of binning states, counted without building one.
 
     Guards as for enumerate_binnings, so it raises or succeeds where
-    enumeration does and then equals len(enumerate_binnings(spec)).  The
-    count is walked once: by the guard when the cap needs it, else here.
+    enumeration does and then equals len(enumerate_binnings(spec)).  It
+    counts once: in the guard when the cap needs the count, else here.
     """
     count = _require_countable(spec, max_states)
-    return _count_binnings(spec, max_states) if count is None else count
+    return _binning_count(spec, max_states) if count is None else count
 
 
 def enumerate_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> list[tuple[int, ...]]:
     """All occupancy vectors meeting both constraints, lexicographically.
 
-    Raises InfeasibleEnergy if the lattice cannot carry the total energy and
-    SizeLimit, before any vector is built, by the guards of
-    _require_countable.
+    _require_countable's guards raise InfeasibleEnergy or SizeLimit before
+    any vector is built; the binning cap is decided by a count, not a walk.
     """
     _require_countable(spec, max_states)
-    sole = _sole_binning(spec)
+    sole = _sole_tail(spec.m - 1, 0, spec.n, spec.excess_units)
     if sole is not None:
         return [sole]
     out: list[tuple[int, ...]] = []
@@ -339,8 +351,8 @@ def tagged_law(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> tuple[Frac
     """P(tagged particle in bin i) = [x^(E-i)] G^(N-1) / [x^E] G^N, exact, i = 0..m-1.
 
     The Einstein-solid count: uniform microstates, counted without listing
-    a binning.  Guards as for enumerate_binnings, so it raises or succeeds
-    where enumeration does.
+    a binning, in its guards too.  Guards as for enumerate_binnings, so it
+    raises or succeeds where enumeration does.
     """
     _require_countable(spec, max_states)
     counts = _tagged_counts(spec)
@@ -351,15 +363,9 @@ def tagged_law(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -> tuple[Frac
 def total_multiplicity(spec: GasSpec) -> int:
     """sum Omega over every binning = [x^E] G^N, the number of microstates.
 
-    Guards in _require_countable's order, without the binning cap:
-    InfeasibleEnergy, then SizeLimit past MAX_BINS bins and past
-    MAX_EXACT_PARTICLES particles.
+    Guards as _require_exact, without the binning cap.
     """
-    spec.require_feasible()
-    if spec.m > MAX_BINS:
-        raise SizeLimit(f"more than {MAX_BINS} bins")
-    if spec.n > MAX_EXACT_PARTICLES:
-        raise SizeLimit(f"more than {MAX_EXACT_PARTICLES} particles")
+    _require_exact(spec)
     return sum(_tagged_counts(spec))
 
 
@@ -379,7 +385,7 @@ def most_probable_binnings(spec: GasSpec, max_states: int = DEFAULT_STATE_CAP) -
     kept.  Guards as for enumerate_binnings.
     """
     _require_countable(spec, max_states)
-    sole = _sole_binning(spec)
+    sole = _sole_tail(spec.m - 1, 0, spec.n, spec.excess_units)
     if sole is not None:
         return [sole]
     n, m, x = spec.n, spec.m, spec.excess_units

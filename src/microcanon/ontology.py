@@ -162,6 +162,10 @@ def validate(model: OntModel) -> list[Violation]:
                 if nonfinite:
                     out.append(Violation(where, "non-finite target entries", float(nonfinite)))
                     continue
+                low, high = min(probs, default=0.0), max(probs, default=0.0)
+                if low < -PROB_TOL or high > 1 + PROB_TOL:
+                    out.append(Violation(where, "target entries outside [0, 1]",
+                                         float(max(-low, high - 1))))
                 total = sum(probs)
                 if abs(total - 1.0) > PROB_TOL:
                     out.append(Violation(where, f"targets sum to {total!r}", abs(total - 1.0)))

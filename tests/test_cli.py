@@ -171,7 +171,8 @@ class TestGasCommands:
                                    "message": f"more than {ensemble.MAX_BINS} bins"}
 
     def test_state_cap_is_decided_without_enumerating(self, capsys):
-        # 1e8 first-bin choices, each one binning: counted, not listed
+        # 1e8 first-bin choices, each one binning; the particle cap comes
+        # before the binning cap, so nothing is counted
         argv = ["gas", "enumerate", "--n", "200000000", "--m", "3", "--e", "200000000"]
         t0 = time.perf_counter()
         assert cli.run(argv) == 1
@@ -179,7 +180,36 @@ class TestGasCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert json.loads(err) == {"error": "SizeLimit",
+                                   "message": f"more than {ensemble.MAX_EXACT_PARTICLES} particles"}
+
+    @pytest.mark.parametrize("command", ["enumerate", "argmax", "measure"])
+    @pytest.mark.parametrize("n,m,e", [(20_000, 10_000, 20_000), (20_000, 1000, 200_000),
+                                       (20_000, 10_000, 10 ** 8)])
+    def test_state_cap_is_decided_without_listing(self, command, n, m, e, monkeypatch, capsys):
+        # the cap is decided by counting partitions; walking the occupancy
+        # ranges up to the cap used to take from 20 s to minutes here
+        def unlisted(spec):
+            raise AssertionError("walked the occupancy ranges")
+        monkeypatch.setattr(ensemble, "_last_free_ranges", unlisted)
+        argv = ["gas", command, "--n", str(n), "--m", str(m), "--e", str(e)]
+        t0 = time.perf_counter()
+        assert cli.run(argv) == 1
+        assert time.perf_counter() - t0 < 3.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "SizeLimit",
                                    "message": "more than 1000000 binning states"}
+
+    def test_large_state_cap_is_decided_in_bounded_work(self, capsys):
+        # 2.7e10 binnings; a walk passed 10^7 of them in 2.4 s
+        argv = "gas argmax --n 300 --m 8 --e 700 --max-states 10000000000".split()
+        t0 = time.perf_counter()
+        assert cli.run(argv) == 1
+        assert time.perf_counter() - t0 < 3.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "SizeLimit",
+                                   "message": "more than 10000000000 binning states"}
 
     @pytest.mark.parametrize("command", ["enumerate", "argmax", "measure"])
     def test_particle_count_is_capped(self, command, capsys):
@@ -203,7 +233,7 @@ class TestGasCommands:
         def unlisted(*args, **kwargs):
             raise AssertionError("listed or counted binnings")
         monkeypatch.setattr(ensemble, "enumerate_binnings", unlisted)
-        monkeypatch.setattr(ensemble, "_count_binnings", unlisted)
+        monkeypatch.setattr(ensemble, "_binning_count", unlisted)
         assert cli.run(argv.split()) == 0
         assert capsys.readouterr() == (GOLDEN[argv]["stdout"], "")
 
@@ -399,6 +429,14 @@ class TestPbrCommands:
         proc = run_cli("pbr", "cat", "--a", "1", "--b", "1")
         assert proc.returncode == 1
         assert json.loads(proc.stderr)["error"] == "NormalizationError"
+
+    def test_cat_overflowing_amplitude(self, capsys):
+        # |1e200|^2 overflows the float range; it used to escape as a traceback
+        assert cli.run(["pbr", "cat", "--a", "1e200", "--b", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err) == {"error": "NormalizationError",
+                                   "message": "|a|^2 + |b|^2 = inf"}
 
     @pytest.mark.parametrize("command", ["demo", "scan"])
     def test_grid_resolution_is_capped_before_the_grid(self, monkeypatch, capsys, command):

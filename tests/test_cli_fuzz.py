@@ -5,19 +5,20 @@ traceback, a usage exit or a printed warning."""
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from microcanon import cli, pbr
 
 
-def run_captured(argv: list[str]) -> tuple[int, str]:
+def run_captured(argv: list[str], out: io.StringIO | None = None) -> tuple[int, str]:
     """Exit code and stderr of one call; warnings count as stderr, since a
-    command-line run would print them there."""
-    out, err = io.StringIO(), io.StringIO()
+    command-line run would print them there.  stdout goes to `out` if given."""
+    out, err = out if out is not None else io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -147,8 +148,14 @@ SOLVE_NUMBERS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-
 
 @given(n=SOLVE_NUMBERS, t=SOLVE_NUMBERS, eps0=SOLVE_NUMBERS, k=SOLVE_NUMBERS,
        fmt=st.sampled_from(["csv", "json"]))
+@example(n="5", t="1", eps0="0", k="1e308", fmt="csv")  # N * T overflows
 @settings(max_examples=150, deadline=None)
 def test_gas_solve_argv_exits_cleanly(n, t, eps0, k, fmt):
+    out = io.StringIO()
     code, err = run_captured(["gas", "solve", f"--n={n}", f"--t={t}", f"--eps0={eps0}",
-                              f"--k={k}", "--format", fmt])
+                              f"--k={k}", "--format", fmt], out)
     assert_clean_exit(code, err)
+    if code == 0:
+        text = out.getvalue()
+        e1 = json.loads(text)["e1"] if fmt == "json" else float(text.split()[-1])
+        assert math.isfinite(e1)

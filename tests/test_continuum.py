@@ -146,6 +146,13 @@ class TestSolve:
             with pytest.raises(NoConvergence):
                 continuum.solve_total_energy(continuum.ContinuumGas(n=n, t=1.0))
 
+    @pytest.mark.parametrize("n, t", [(5.0, 1e308), (1e300, 1e300), (1e154, 1e154)])
+    def test_overflowing_bracket_is_a_domain_error(self, n, t):
+        # N * (T + eps0) overflows: the bisection used to close on [lo, inf]
+        # and return inf, or to halve [inf, inf] until its step cap
+        with pytest.raises(DomainError, match="is not finite$"):
+            continuum.solve_total_energy(continuum.ContinuumGas(n=n, t=t))
+
     def test_eps0_continuity_at_zero(self):
         # the root varies continuously as the ground offset goes to zero
         n = 100.0

@@ -318,7 +318,7 @@ class TestCountingGuards:
                 fn(ensemble.GasSpec(n=big, m=wide, e_units=big * (wide - 1) + 1))
             with pytest.raises(SizeLimit, match="bins"):
                 fn(ensemble.GasSpec(n=big, m=wide, e_units=big))
-            with pytest.raises(SizeLimit, match="binning states"):
+            with pytest.raises(SizeLimit, match=f"{ensemble.MAX_EXACT_PARTICLES} particles"):
                 fn(ensemble.GasSpec(n=big, m=4, e_units=big), max_states=10)
             with pytest.raises(SizeLimit, match=f"{ensemble.MAX_EXACT_PARTICLES} particles"):
                 fn(ensemble.GasSpec(n=big, m=2, e_units=big // 2))
@@ -360,8 +360,8 @@ class TestCountingGuards:
         spec = ensemble.GasSpec(n=12, m=4, e_units=15)
         states = len(ensemble.enumerate_binnings(spec))
         walks = []
-        walk = ensemble._count_binnings
-        monkeypatch.setattr(ensemble, "_count_binnings",
+        walk = ensemble._binning_count
+        monkeypatch.setattr(ensemble, "_binning_count",
                             lambda spec, cap: walks.append(cap) or walk(spec, cap))
         for cap in (10 ** 6, states):
             walks.clear()
@@ -371,6 +371,41 @@ class TestCountingGuards:
         with pytest.raises(SizeLimit, match="binning states"):
             ensemble.count_binnings(spec, max_states=states - 1)
         assert walks == [states - 1]
+
+    @given(n=st.integers(1, 12), m=st.integers(1, 8), eps0_units=st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_binning_count_is_the_listing_length_or_a_bound_past_the_cap(self, n, m, eps0_units):
+        # the listing walks occupancy ranges; the count multiplies series
+        for spec in every_energy(n, m, eps0_units, 1.0):
+            count = len(ensemble.enumerate_binnings(spec, max_states=10 ** 9))
+            for cap in (0, 1, count - 1, count, 10 ** 9):
+                got = ensemble._binning_count(spec, cap)
+                if got <= cap:
+                    assert got == count
+                else:
+                    assert cap < got <= count
+
+    def test_counting_lists_no_binning(self, monkeypatch):
+        def unlisted(spec):
+            raise AssertionError("walked the occupancy ranges")
+        monkeypatch.setattr(ensemble, "_last_free_ranges", unlisted)
+        oracles = bench_oracles()
+        for n, m, e, cap in [(12, 4, 15, 10 ** 6), (12, 4, 15, 100), (20, 6, 50, 10 ** 6),
+                             (300, 8, 700, 10 ** 12), (20_000, 100, 56, 10 ** 6)]:
+            spec = ensemble.GasSpec(n=n, m=m, e_units=e)
+            assert ensemble.count_binnings(spec, max_states=cap) == oracles.binning_count(n, m, e)
+            assert sum(ensemble.tagged_law(spec, max_states=cap)) == 1
+
+    def test_state_cap_parity_past_ten_billion(self):
+        # 27,350,091,188 binnings: C(307, 7) = 4.6e13 vectors, so the cap needs the count
+        spec = ensemble.GasSpec(n=300, m=8, e_units=700)
+        count = bench_oracles().binning_count(300, 8, 700)
+        for fn in (ensemble.count_binnings, ensemble.most_probable_binnings,
+                   ensemble.tagged_law):
+            with pytest.raises(SizeLimit, match=f"^more than {count - 1} binning states$"):
+                fn(spec, max_states=count - 1)
+            fn(spec, max_states=count)
+        assert ensemble.count_binnings(spec, max_states=count) == count
 
     def test_bin_cap_comes_before_the_recurrence(self, monkeypatch):
         # the recurrence pads its window to m entries, gigabytes at m = 10^9

@@ -82,6 +82,17 @@ class TestValidate:
             ("born_targets[B][color]", "non-finite target entries", 2.0),
         ]
 
+    def test_detects_targets_outside_the_unit_interval(self, marbles):
+        # the row sums to 1, so only the range check sees it
+        doc = ontology.model_to_dict(marbles)
+        doc["born_targets"]["A"]["color"] = [1.5, -0.5, 0.0, 0.0]
+        doc["born_targets"]["B"]["color"] = [-0.75, 0.5, 0.5, 0.75]
+        viols = ontology.validate(ontology.model_from_dict(doc))
+        assert [(v.where, v.message, v.magnitude) for v in viols] == [
+            ("born_targets[A][color]", "target entries outside [0, 1]", 0.5),
+            ("born_targets[B][color]", "target entries outside [0, 1]", 0.75),
+        ]
+
     @given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=6))
     @settings(max_examples=50)
     def test_normalized_random_models_pass(self, raw):

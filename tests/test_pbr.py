@@ -68,6 +68,12 @@ class TestKets:
         with pytest.raises(NormalizationError):
             pbr.Ket(amplitudes)
 
+    @pytest.mark.parametrize("amplitudes", [(1e200 + 0j, 0j), (complex(1e308, 1e308),)])
+    def test_overflowing_norm_rejected(self, amplitudes):
+        # abs(z) ** 2 raises OverflowError where abs(z) * abs(z) would be inf
+        with pytest.raises(NormalizationError, match=r"sums to inf$"):
+            pbr.Ket(amplitudes)
+
     def test_inner_product(self):
         assert pbr.inner(pbr.KET0, pbr.KET1) == 0
         assert pbr.inner(pbr.KET0, pbr.KET_PLUS) == pytest.approx(1 / math.sqrt(2))
@@ -350,6 +356,11 @@ class TestCatFixture:
     @pytest.mark.parametrize("a, b", [(math.nan, 0.0), (0.6, complex(0.8, math.nan))])
     def test_nan_amplitude_rejected(self, a, b):
         with pytest.raises(NormalizationError):
+            pbr.cat_fixture(a, b)
+
+    @pytest.mark.parametrize("a, b", [(1e200, 0.0), (0.6, complex(1e308, 1e308))])
+    def test_overflowing_amplitude_rejected(self, a, b):
+        with pytest.raises(NormalizationError, match=r"= inf$"):
             pbr.cat_fixture(a, b)
 
     @given(st.floats(min_value=0.01, max_value=0.99),
