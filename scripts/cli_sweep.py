@@ -225,7 +225,10 @@ def record(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> int:
-    sweep = guard_calls() if sys.argv[1:] == ["guards"] else calls()
+    if sys.argv[1:] not in ([], ["guards"]):
+        print("usage: cli_sweep.py [guards]", file=sys.stderr)
+        return 2
+    sweep = guard_calls() if sys.argv[1:] else calls()
     digest = hashlib.sha256()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

@@ -201,7 +201,7 @@ class TestGasCommands:
                                    "message": "more than 1000000 binning states"}
 
     def test_large_state_cap_is_decided_in_bounded_work(self, capsys):
-        # 2.7e10 binnings; a walk passed 10^7 of them in 2.4 s
+        # 2.7e10 binnings; a walk took 2.5 s to pass 10^7 of them
         argv = "gas argmax --n 300 --m 8 --e 700 --max-states 10000000000".split()
         t0 = time.perf_counter()
         assert cli.run(argv) == 1

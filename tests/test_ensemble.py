@@ -397,7 +397,7 @@ class TestCountingGuards:
             assert sum(ensemble.tagged_law(spec, max_states=cap)) == 1
 
     def test_state_cap_parity_past_ten_billion(self):
-        # 27,350,091,188 binnings: C(307, 7) = 4.6e13 vectors, so the cap needs the count
+        # 27,350,091,188 binnings: C(307, 7) = 4.8e13 vectors, so the cap needs the count
         spec = ensemble.GasSpec(n=300, m=8, e_units=700)
         count = bench_oracles().binning_count(300, 8, 700)
         for fn in (ensemble.count_binnings, ensemble.most_probable_binnings,
