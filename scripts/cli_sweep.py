@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python3 scripts/cli_sweep.py
     PYTHONPATH=src python3 scripts/cli_sweep.py guards
+    PYTHONPATH=src python3 scripts/cli_sweep.py tables
 
 Every command runs in CSV, JSON and its default format, next to error
 cases (infeasible energies, state and size caps, NaN lattice steps, grids
@@ -17,7 +18,10 @@ run it against that checkout's src/.
 
 With the argument `guards` it runs the guard family instead: the binning
 cap at one below and at the count for 40 drawn specs, and specs past the
-particle cap, so that the order of the exact core's guards shows.
+particle cap, so that the order of the exact core's guards shows.  With
+`tables` it runs the binning-table family: `gas enumerate` and `argmax`
+in every format at m = 1 to 8, each to stdout and again to a file given
+by --out, whose bytes join the digest.
 
 The calls run in a temporary directory that holds the model files, so no
 path in an argv or a message depends on where the checkout lives.
@@ -213,6 +217,23 @@ def guard_calls() -> list[list[str]]:
     return out
 
 
+def table_calls() -> list[list[str]]:
+    """`gas enumerate` and `argmax` in every format at m = 1 to 8, N up to
+    40 (20 at m >= 7) and both energy ends and the middle, each also with
+    --out; then the argmax at (9100, 3, 9100), whose Omega has 4,338 digits."""
+    out = []
+    for m in range(1, 9):
+        for n in (1, 2, 5, 13, 40 if m < 7 else 20):
+            top = n * (m - 1)
+            for e in sorted({0, top // 2, top}):
+                for command in ("enumerate", "argmax"):
+                    argv = ["gas", command, "--n", str(n), "--m", str(m), "--e", str(e)]
+                    out += [[*argv, *fmt, *to] for fmt in FORMATS
+                            for to in ([], ["--out", "table.out"])]
+    argv = ["gas", "argmax", "--n", "9100", "--m", "3", "--e", "9100"]
+    return out + [[*argv, *fmt, *to] for fmt in FORMATS for to in ([], ["--out", "table.out"])]
+
+
 def record(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -225,10 +246,11 @@ def record(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main() -> int:
-    if sys.argv[1:] not in ([], ["guards"]):
-        print("usage: cli_sweep.py [guards]", file=sys.stderr)
+    families = {(): calls, ("guards",): guard_calls, ("tables",): table_calls}
+    if tuple(sys.argv[1:]) not in families:
+        print("usage: cli_sweep.py [guards | tables]", file=sys.stderr)
         return 2
-    sweep = guard_calls() if sys.argv[1:] else calls()
+    sweep = families[tuple(sys.argv[1:])]()
     digest = hashlib.sha256()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -241,6 +263,10 @@ def main() -> int:
         try:
             for argv in sweep:
                 digest.update(json.dumps([argv, *record(argv)]).encode("utf-8") + b"\n")
+                if "--out" in argv:  # the file's bytes, then remove it for the next call
+                    written = Path(argv[argv.index("--out") + 1])
+                    digest.update(written.read_bytes())
+                    written.unlink()
         finally:
             os.chdir(here)
     print(f"calls {len(sweep)}")

@@ -14,8 +14,8 @@ bytes of json.dumps(obj, indent=2) for every document the commands build:
 str-keyed dicts, lists and tuples, str, None, bools, ints and floats (NaN
 and the infinities as json names them).  CPython's C encoder runs only
 when indent is None, so json.dumps(indent=2) takes the pure-Python
-encoder, which spends about 1.4 times as long on the binning tables of
-`gas enumerate` (see README, "Row costs").
+encoder.  Binning tables are the exception: _write_binnings fills one row
+template per table with the same bytes, CSV too (README, "Row costs").
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -32,13 +33,15 @@ import sys
 from . import continuum, ensemble, ontology
 from .errors import MicrocanonError
 
+_ROWS_PER_WRITE = 1000  # binning-table rows per write; at N = 20,000 about 7 MB of text
 
-def _emit(args, text: str):
+
+def _emit(args, chunks):
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -115,7 +118,7 @@ def _cell(value) -> str:
 
 
 def _emit_records(args, columns: tuple[str, ...], rows, doc=None) -> int:
-    """Write a command's table as CSV or JSON; the only reader of the --format flag.
+    """Write a command's table as CSV or JSON; binning tables take _emit_binnings.
 
     rows are value tuples in column order.  CSV is a header plus one line per
     row, every cell by the rule in _cell.  JSON is the rows as records keyed
@@ -130,7 +133,7 @@ def _emit_records(args, columns: tuple[str, ...], rows, doc=None) -> int:
         writer.writerow(columns)
         writer.writerows(map(_cell, row) for row in rows)
         text = buf.getvalue()
-    _emit(args, text)
+    _emit(args, [text])
     return 0
 
 
@@ -158,12 +161,30 @@ def _emit_binnings(args, states) -> int:
     sum of omega across the listed states, all from ensemble.multiplicities."""
     omegas, log_omegas = ensemble.multiplicities(states)
     total = sum(omegas)
-    rows = [(s, omega, log_omega, omega / total)
-            for s, omega, log_omega in zip(states, omegas, log_omegas)]
-    with _unlimited_int_digits():
-        return _emit_records(args, ("binning", "omega", "entropy", "mu"), rows, doc=lambda: [
-            {"binning": n, "omega": omega, "log_omega": log_omega, "entropy": log_omega, "mu": mu}
-            for n, omega, log_omega, mu in rows])
+    return _write_binnings(args, states, omegas, log_omegas, [omega / total for omega in omegas])
+
+
+def _write_binnings(args, states, omegas, log_omegas, mus) -> int:
+    """The bytes _emit_records would write for a binning table, from one
+    %-format row template per table, _ROWS_PER_WRITE rows at a time.  JSON
+    writes ln omega's repr twice; CSV quotes the binning from two bins on."""
+    m = len(states[0])
+    if args.format == "json":
+        template = ('\n  {\n    "binning": [' + ",".join(["\n      %d"] * m) + '\n    ],\n'
+                    '    "omega": %d,\n    "log_omega": %s,\n    "entropy": %s,\n    "mu": %r\n  }')
+        head, joiner, tail = "[", ",", "\n]\n"
+        rows = ((*s, omega, r, r, mu)
+                for s, omega, r, mu in zip(states, omegas, map(repr, log_omegas), mus))
+    else:
+        binning = "[" + ", ".join(["%d"] * m) + "]"
+        template = (f'"{binning}"' if m > 1 else binning) + ",%d,%.17g,%.17g\n"
+        head, joiner, tail = "binning,omega,entropy,mu\n", "", ""
+        rows = ((*s, omega, x, mu) for s, omega, x, mu in zip(states, omegas, log_omegas, mus))
+    with _unlimited_int_digits():  # rows are formatted as they are written
+        lines = itertools.chain([head, template % next(rows)],
+                                map((joiner + template).__mod__, rows), [tail])
+        _emit(args, iter(lambda: "".join(itertools.islice(lines, _ROWS_PER_WRITE)), ""))
+    return 0
 
 
 def cmd_gas_enumerate(args) -> int:
@@ -268,7 +289,7 @@ def cmd_pbr_cat(args) -> int:
     # a model document, so JSON only: there is no table to print
     from . import pbr
     fixture = pbr.cat_fixture(complex(args.a), complex(args.b))
-    _emit(args, _json_text(ontology.model_to_dict(fixture.model)))
+    _emit(args, [_json_text(ontology.model_to_dict(fixture.model))])
     return 0
 
 

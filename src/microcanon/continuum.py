@@ -41,8 +41,8 @@ class ContinuumGas:
             raise ValueError(f"n must be positive and finite, got {self.n}")
         if not 0 < self.t < math.inf:
             raise ValueError(f"t must be positive and finite, got {self.t}")
-        if self.eps0 < 0:
-            raise ValueError(f"eps0 must be non-negative, got {self.eps0}")
+        if not 0 <= self.eps0 < math.inf:
+            raise ValueError(f"eps0 must be non-negative and finite, got {self.eps0}")
 
 
 def rho(eps: float, gas: ContinuumGas, e1: float) -> float:

@@ -293,18 +293,27 @@ def entropy(n: tuple[int, ...], k: float = 1.0) -> float:
 def multiplicities(states: Sequence[tuple[int, ...]]) -> tuple[list[int], list[float]]:
     """Omega and ln Omega of each binning in a list of binnings of one N.
 
-    Omega is multiplicity's product of binomials.  ln Omega = lgamma(N + 1)
-    - sum of lgamma(n_i + 1), read from a table built once and added in
-    entropy's order, so it equals entropy(s) bit for bit.  (N! // prod(n_i!)
-    costs three times as much at N = 20,000, where the long division
-    dominates, and a factorial table up to that N would hold about 300 MB.)
+    A binning equal to the one before it with its last three bins (k, b, c)
+    moved by (+1, -2, +1), as within each range of _last_free_ranges, takes
+    Omega_prev * b (b - 1) // ((k + 1)(c + 1)): one product, one exact
+    division.  Any other takes multiplicity's product of binomials.  ln Omega
+    = lgamma(N + 1) - sum of lgamma(n_i + 1), read from a table built once
+    and added in entropy's order, so it equals entropy(s) bit for bit.
+    (N! // prod(n_i!) costs three times as much at N = 20,000, where the long
+    division dominates; a factorial table to that N would hold 300 MB.)
     """
     if not states:
         return [], []
     n = sum(states[0])
     lg = [math.lgamma(k + 1) for k in range(n + 1)]
-    return ([_binomial_product(s, n) for s in states],
-            [lg[n] - sum(map(lg.__getitem__, s)) for s in states])
+    omegas: list[int] = []
+    for prev, s in zip((states[0], *states), states):
+        k, b, c = prev[-3:] if len(prev) == len(s) > 2 else (-1, 0, 0)
+        if s[-3:] == (k + 1, b - 2, c + 1) and s[:-3] == prev[:-3]:
+            omegas.append(omegas[-1] * b * (b - 1) // ((k + 1) * (c + 1)))
+        else:
+            omegas.append(_binomial_product(s, n))
+    return omegas, [lg[n] - sum(map(lg.__getitem__, s)) for s in states]
 
 
 def _power_coefficients(n: int, m: int, degree: int) -> list[int]:

@@ -7,6 +7,7 @@ import enum
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -108,3 +109,52 @@ def test_csv_records_quote_as_csv_writer(rows):
     writer.writerow(columns)
     writer.writerows([old_cell(x) for x in row] for row in rows)
     assert out.getvalue() == want.getvalue()
+
+
+def write_binnings(fmt: str, table, out=None) -> str:
+    """_write_binnings' stdout for a table of (binning, omega, ln omega, mu) rows."""
+    args = argparse.Namespace(format=fmt, out=out)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli._write_binnings(args, *map(list, zip(*table))) == 0
+    return buf.getvalue()
+
+
+def old_binning_text(fmt: str, table) -> str:
+    """The table as the generic record path writes it."""
+    if fmt == "json":
+        return cli._json_text([{"binning": n, "omega": omega, "log_omega": x, "entropy": x,
+                                "mu": mu} for n, omega, x, mu in table])
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(("binning", "omega", "entropy", "mu"))
+    writer.writerows(map(cli._cell, row) for row in table)
+    return want.getvalue()
+
+
+table_floats = floats.filter(lambda x: 0 <= x < math.inf)
+binning_tables = st.integers(min_value=1, max_value=8).flatmap(lambda m: st.lists(
+    st.tuples(st.tuples(*[st.integers(min_value=0, max_value=10 ** 6)] * m),
+              st.integers(min_value=1, max_value=10 ** 30) | huge_ints.map(abs),
+              table_floats, table_floats),
+    min_size=1, max_size=7))
+
+
+@given(binning_tables, st.sampled_from(["csv", "json"]), st.integers(min_value=1, max_value=3))
+@settings(max_examples=300, deadline=None)
+@example([((4,), 1, 0.0, 1.0)], "csv", 1)
+@example([((2, 3), 10, 2.3025850929940463, 5e-324), ((0, 5), 10 ** 4300 + 7, 1e16, 1e-05)],
+         "json", 1)
+def test_binning_template_is_the_record_path(table, fmt, rows_per_write):
+    with mock.patch.object(cli, "_ROWS_PER_WRITE", rows_per_write), cli._unlimited_int_digits():
+        assert write_binnings(fmt, table) == old_binning_text(fmt, table)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_binning_table_out_file_is_stdout(fmt, tmp_path):
+    table = [((k, 9100 - 2 * k, k), 10 ** 4300 + k, 1e4 + k, k / 7) for k in range(5)]
+    path = tmp_path / "table.out"
+    with mock.patch.object(cli, "_ROWS_PER_WRITE", 2):
+        stdout = write_binnings(fmt, table)
+        assert write_binnings(fmt, table, out=str(path)) == ""
+    assert path.read_text(encoding="utf-8") == stdout

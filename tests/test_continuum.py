@@ -1,11 +1,12 @@
 """Continuum density and the temperature/total-energy self-consistency."""
 
+import json
 import math
 
 import pytest
 from scipy import integrate
 
-from microcanon import continuum, ensemble
+from microcanon import cli, continuum, ensemble
 from microcanon.errors import DomainError, NoConvergence
 
 
@@ -53,6 +54,15 @@ class TestDensity:
         # t = inf once reached expm1(0) = 0 in the residual: a ZeroDivisionError
         with pytest.raises(ValueError, match="positive and finite"):
             continuum.ContinuumGas(n=n, t=t)
+
+    @pytest.mark.parametrize("eps0", ["nan", "inf"])
+    def test_non_finite_offset_named(self, eps0, capsys):
+        # both used to reach the E1 bracket and end in a DomainError there
+        with pytest.raises(ValueError, match="eps0 must be non-negative and finite"):
+            continuum.ContinuumGas(n=5.0, t=1.0, eps0=float(eps0))
+        assert cli.run(["gas", "solve", "--n", "5", "--t", "1", "--eps0", eps0]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError", "message": f"eps0 must be non-negative and finite, got {eps0}"}
 
 
 class TestResidual:

@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import math
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import brentq
@@ -167,6 +168,40 @@ class TestMultiplicity:
         assert omegas == [math.factorial(300) // math.prod(map(math.factorial, s)) for s in states]
         assert [x.hex() for x in log_omegas] == [ensemble.entropy(s).hex() for s in states]
         assert ensemble.multiplicities([]) == ([], [])
+
+    @given(st.integers(1, 30), st.integers(1, 8), st.floats(0, 1), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    @example(20, 5, 0.5, random.Random(0))
+    def test_table_rows_in_any_order(self, n, m, share, rng):
+        # in enumeration order most rows take the ratio to the row before;
+        # reversed and shuffled, most take the product of binomials.  Grouped
+        # by the count and energy of the bins before the last three, then
+        # sorted by the last three, rows whose last three bins moved by
+        # (+1, -2, +1) meet under different heads.
+        e = round(share * n * (m - 1))
+        states = ensemble.enumerate_binnings(ensemble.GasSpec(n=n, m=m, e_units=e),
+                                             max_states=10 ** 9)
+        assume(len(states) <= 20_000)
+        shuffled = states[:]
+        rng.shuffle(shuffled)
+        by_tail = sorted(states, key=lambda s: (
+            sum(s[:-3]), sum(i * x for i, x in enumerate(s[:-3])), s[-3:], s))
+        for order in (states, states[::-1], shuffled, by_tail):
+            omegas, log_omegas = ensemble.multiplicities(order)
+            assert omegas == [ensemble.multiplicity(s) for s in order]
+            assert [x.hex() for x in log_omegas] == [ensemble.entropy(s).hex() for s in order]
+
+    def test_table_rows_at_the_particle_cap(self):
+        # 10,001 rows of up to about 9,500 digits; each product of binomials
+        # takes about 7 ms here, the ratio to the row before about 10 us
+        states = ensemble.enumerate_binnings(ensemble.GasSpec(n=20_000, m=3, e_units=20_000))
+        assert len(states) == 10_001
+        t0 = time.perf_counter()
+        omegas, log_omegas = ensemble.multiplicities(states)
+        assert time.perf_counter() - t0 < 3.0
+        for i in range(0, len(states), 500):
+            assert omegas[i] == ensemble.multiplicity(states[i])
+            assert log_omegas[i].hex() == ensemble.entropy(states[i]).hex()
 
     @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5))
     def test_permutation_invariance(self, occ):
