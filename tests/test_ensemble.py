@@ -192,8 +192,8 @@ class TestMultiplicity:
             assert [x.hex() for x in log_omegas] == [ensemble.entropy(s).hex() for s in order]
 
     def test_table_rows_at_the_particle_cap(self):
-        # 10,001 rows of up to about 9,500 digits; each product of binomials
-        # takes about 7 ms here, the ratio to the row before about 10 us
+        # 10,001 rows of up to about 9,500 digits: the product of binomials
+        # takes about 6 ms a row, the ratio to the row before about 10 us
         states = ensemble.enumerate_binnings(ensemble.GasSpec(n=20_000, m=3, e_units=20_000))
         assert len(states) == 10_001
         t0 = time.perf_counter()
